@@ -13,12 +13,15 @@ from .core import (
     BudgetExceededError,
     ResidueSet,
     Subgroup,
+    affine_orbit,
+    coset_runs,
     next_prime,
     seminorm,
     shift_mask,
+    shift_table,
 )
 from .impact import xi2, xi3
-from .progressions import alpha_profile, contained_in_coset, optimal_differences
+from .progressions import contained_in_coset, optimal_differences
 
 
 def equal_impact_witnesses(A: ResidueSet) -> Optional[tuple[int, int]]:
@@ -34,7 +37,7 @@ def equal_impact_witnesses(A: ResidueSet) -> Optional[tuple[int, int]]:
     target = xi2(A)
     opt = sorted(optimal_differences(A), key=lambda d: (seminorm(d, q), d))
     base = A.mask
-    shifts = {d: shift_mask(base, d, q) for d in opt}
+    shifts = shift_table(base, q)
     for d1, d2 in combinations(opt, 2):
         if (base | shifts[d1] | shifts[d2]).bit_count() == target:
             return (d1, d2)
@@ -85,23 +88,8 @@ def extract_chain_structure(
     order = q // d1
     H = Subgroup(q, order)
     comp = A.complement().mask
-
-    runs: list[tuple[int, ...]] = []
-    full_cosets: list[int] = []
-    z = 0
-    for rep in range(d1):
-        cycle = [(rep + j * d1) % q for j in range(order)]
-        in_a = [x in A for x in cycle]
-        if not any(in_a):
-            full_cosets.append(rep)
-            continue
-        z += 1
-        for j in range(order):
-            if not in_a[j] and in_a[j - 1]:
-                run = [cycle[j]]
-                while not in_a[(j + len(run)) % order]:
-                    run.append(cycle[(j + len(run)) % order])
-                runs.append(tuple(run))
+    full_cosets, runs = coset_runs(comp, d1, q)
+    z = d1 - len(full_cosets)
 
     violations: list[str] = []
     k = len(runs)
@@ -282,32 +270,21 @@ class MuRecord:
     strategy: str
 
 
-def _equal_impact_mask(mask: int, p: int, shifts: list[int]) -> bool:
+def _equal_impact_mask(mask: int, p: int) -> bool:
     """xi(2) == xi(3) for the set with this mask, via the optimal-difference
     pair sweep."""
     size = mask.bit_count()
-    alphas = [(shift_mask(mask, d, p) & ~mask).bit_count() for d in range(1, p)]
+    shifts = shift_table(mask, p)
+    alphas = [(s & ~mask).bit_count() for s in shifts[1:]]
     k = min(alphas)
     target = size + k
     opt = [d + 1 for d, a in enumerate(alphas) if a == k]
     for i, d1 in enumerate(opt):
-        m1 = mask | shift_mask(mask, d1, p)
+        m1 = mask | shifts[d1]
         for d2 in opt[i + 1 :]:
-            if (m1 | shift_mask(mask, d2, p)).bit_count() == target:
+            if (m1 | shifts[d2]).bit_count() == target:
                 return True
     return False
-
-
-def _affine_canonical(mask: int, p: int) -> tuple[int, ...]:
-    elems = [i for i in range(p) if mask >> i & 1]
-    best = None
-    for c in range(1, p):
-        imgs = sorted(c * e % p for e in elems)
-        for s in range(p):
-            cand = tuple(sorted((e + s) % p for e in imgs))
-            if best is None or cand < best:
-                best = cand
-    return best
 
 
 def compute_mu(p: int, strategy: str = "auto", budget: int = 1 << 22) -> MuRecord:
@@ -323,7 +300,6 @@ def compute_mu(p: int, strategy: str = "auto", budget: int = 1 << 22) -> MuRecor
     if strategy == "auto":
         strategy = "full" if (1 << p) <= budget else "bounded"
 
-    shifts: list[int] = []  # filled per-mask inside the helpers
     if strategy == "full":
         if (1 << p) > budget:
             raise BudgetExceededError(f"2^{p} subsets exceed budget")
@@ -335,7 +311,7 @@ def compute_mu(p: int, strategy: str = "auto", budget: int = 1 << 22) -> MuRecor
                 continue
             if size < 2:
                 continue  # a single point has xi(2)=3 > xi(3) impossible; skip
-            if _equal_impact_mask(mask, p, shifts):
+            if _equal_impact_mask(mask, p):
                 if mu is None or size < mu:
                     mu = size
                     witnesses = [mask]
@@ -351,7 +327,7 @@ def compute_mu(p: int, strategy: str = "auto", budget: int = 1 << 22) -> MuRecor
                 mask = 1
                 for x in rest:
                     mask |= 1 << x
-                if _equal_impact_mask(mask, p, shifts):
+                if _equal_impact_mask(mask, p):
                     witnesses.append(mask)
             if witnesses:
                 mu = size
@@ -361,7 +337,14 @@ def compute_mu(p: int, strategy: str = "auto", budget: int = 1 << 22) -> MuRecor
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    canon = sorted(set(_affine_canonical(mk, p) for mk in witnesses))
+    # the canonical form of a witness: its affine image whose sorted
+    # element tuple is lexicographically least
+    canon = sorted(
+        {
+            min(ResidueSet(p, img).elements for img, _, _ in affine_orbit(mk, p))
+            for mk in witnesses
+        }
+    )
     sqrt_bound = math.sqrt(8 * p + 25) - 5
     log4_bound = math.log(p, 4)
     applicable = mu < 2 * p / 3

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 from typing import Optional
@@ -17,7 +16,6 @@ from .config import PROFILES, RunConfig
 from .core import (
     BudgetExceededError,
     ResidueSet,
-    format_set,
     parse_set,
     set_from_json,
 )
@@ -90,19 +88,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, *, needs_set=False):
-        p.add_argument("--q", type=int)
+    def common(p, *, needs_set=False, needs_q=False, seed=False, workers=False):
+        if needs_set or needs_q:
+            p.add_argument("--q", type=int, required=needs_q)
         if needs_set:
             p.add_argument("--set", required=True, help="q=N;{a,b,c}, JSON, or a,b,c with --q")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET)
-        p.add_argument("--budget-seconds", type=float, default=600.0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if workers:
+            p.add_argument("--workers", type=int, default=1)
         p.add_argument("--format", choices=("json-lines", "csv", "pretty"), default="json-lines")
 
     p = sub.add_parser("xi", help="impact function value xi_A(n)")
     common(p, needs_set=True)
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET)
 
     p = sub.add_parser("alpha", help="alpha_t(A) or the full profile")
     common(p, needs_set=True)
@@ -122,9 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     dsub = p.add_subparsers(dest="digital_command", required=True)
     dp = dsub.add_parser("check", help="digital-set predicate and prime condition")
     common(dp, needs_set=True)
-    dp.add_argument("--m", type=int)
     dp = dsub.add_parser("enumerate", help="list all digital sets for (m, q)")
-    common(dp)
+    common(dp, needs_q=True)
     dp.add_argument("--m", type=int, required=True)
     dp = dsub.add_parser("carries", help="carry statistics of a digit set (q = m^2)")
     common(dp, needs_set=True)
@@ -132,15 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(dp)
     dp.add_argument("--m", type=int, required=True)
     dp = dsub.add_parser("verify-theorem1", help="impact lower bound on sampled digital sets")
-    common(dp)
+    common(dp, needs_q=True, seed=True)
     dp.add_argument("--m", type=int, default=16)
     dp.add_argument("--n", type=int, default=500, help="sample count")
     dp = dsub.add_parser("verify-corollary", help="small-doubling classification sweep")
-    common(dp)
+    common(dp, needs_q=True)
     dp.add_argument("--m", type=int, default=16)
-
-    p = sub.add_parser("carries", help="carry statistics of a digit set (alias of digital carries)")
-    common(p, needs_set=True)
 
     p = sub.add_parser("construct", help="the chain-of-intervals construction")
     common(p)
@@ -157,25 +153,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
 
     p = sub.add_parser("verify", help="run named verification suites")
-    common(p)
+    common(p, seed=True, workers=True)
     p.add_argument("suites", nargs="+", choices=[name for name, _ in SUITES])
     p.add_argument("--profile", choices=PROFILES, default="desk")
 
     p = sub.add_parser("verify-all", help="run the whole verification suite")
-    common(p)
+    common(p, seed=True, workers=True)
     p.add_argument("--profile", choices=PROFILES, default="desk")
 
     return top
-
-
-def _run_config(args) -> RunConfig:
-    return RunConfig(
-        seed=args.seed,
-        workers=args.workers,
-        budget_nodes=args.budget_nodes,
-        budget_seconds=args.budget_seconds,
-        profile=getattr(args, "profile", "desk"),
-    )
 
 
 def _cmd_xi(args) -> int:
@@ -265,8 +251,6 @@ def _cmd_digital(args) -> int:
         _emit(out, args.format)
         return EXIT_OK
     if sub == "enumerate":
-        if args.q is None:
-            raise ValueError("digital enumerate needs --q")
         rows = [
             {"q": args.q, "m": args.m, "elements": sorted(w.set.elements)}
             for w in enumerate_digital_sets(args.m, args.q)
@@ -274,7 +258,21 @@ def _cmd_digital(args) -> int:
         _emit_rows(rows, args.format)
         return EXIT_OK
     if sub == "carries":
-        return _cmd_carries(args)
+        A = _parse_set_arg(args.set, args.q)
+        w = is_digital(A)
+        if w is None:
+            raise ValueError("carry statistics need a digital set")
+        stats = carry_stats(w)
+        _emit(
+            {
+                **_set_fields(A),
+                "m": w.m,
+                "distinct_carries": list(stats.distinct_carries),
+                "nonzero_pair_count": stats.nonzero_pair_count,
+            },
+            args.format,
+        )
+        return EXIT_OK
     if sub == "verify-extremal":
         rep = verify_carry_extremality(args.m)
         _emit(
@@ -289,12 +287,8 @@ def _cmd_digital(args) -> int:
         )
         return EXIT_OK if rep.holds else EXIT_COUNTEREXAMPLE
     if sub == "verify-theorem1":
-        if args.q is None:
-            raise ValueError("digital verify-theorem1 needs --q")
-        cfg = _run_config(args)
-        rep = verify_digital_impact_bound(
-            args.m, args.q, samples=args.n, seed=cfg.derived_seed("digital_impact_bound")
-        )
+        seed = RunConfig(seed=args.seed).derived_seed("digital_impact_bound")
+        rep = verify_digital_impact_bound(args.m, args.q, samples=args.n, seed=seed)
         _emit(
             {
                 "m": args.m,
@@ -308,8 +302,6 @@ def _cmd_digital(args) -> int:
         )
         return EXIT_OK if not rep.counterexamples else EXIT_COUNTEREXAMPLE
     if sub == "verify-corollary":
-        if args.q is None:
-            raise ValueError("digital verify-corollary needs --q")
         rep = verify_small_doubling_classification(args.m, args.q)
         _emit(
             {
@@ -324,24 +316,6 @@ def _cmd_digital(args) -> int:
         )
         return EXIT_OK if rep.all_affine_interval_images else EXIT_COUNTEREXAMPLE
     raise ValueError(f"unknown digital subcommand {sub!r}")
-
-
-def _cmd_carries(args) -> int:
-    A = _parse_set_arg(args.set, args.q)
-    w = is_digital(A)
-    if w is None:
-        raise ValueError("carry statistics need a digital set")
-    stats = carry_stats(w)
-    _emit(
-        {
-            **_set_fields(A),
-            "m": w.m,
-            "distinct_carries": list(stats.distinct_carries),
-            "nonzero_pair_count": stats.nonzero_pair_count,
-        },
-        args.format,
-    )
-    return EXIT_OK
 
 
 def _cmd_construct(args) -> int:
@@ -404,7 +378,7 @@ def _cmd_chains(args) -> int:
 
 
 def _cmd_verify(args, names: Optional[list[str]]) -> int:
-    cfg = _run_config(args)
+    cfg = RunConfig(seed=args.seed, workers=args.workers, profile=args.profile)
     report = run_suites(cfg, names)
     if args.format == "pretty":
         for s in report["suites"]:
@@ -423,7 +397,6 @@ _DISPATCH = {
     "stability": _cmd_stability,
     "uniqueness": _cmd_uniqueness,
     "digital": _cmd_digital,
-    "carries": _cmd_carries,
     "construct": _cmd_construct,
     "mu": _cmd_mu,
     "chains": _cmd_chains,
@@ -431,7 +404,12 @@ _DISPATCH = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means "counterexample
+        # found" here; --help exits 0
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         if args.command == "verify":
             return _cmd_verify(args, args.suites)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 PROFILES = ("smoke", "desk", "deep")
@@ -14,8 +14,6 @@ PROFILES = ("smoke", "desk", "deep")
 class RunConfig:
     seed: int = 0
     workers: int = 1
-    budget_nodes: int = 50_000_000
-    budget_seconds: float = 600.0
     profile: str = "desk"
 
     def __post_init__(self):

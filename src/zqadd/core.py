@@ -38,6 +38,13 @@ def shift_mask(mask: int, t: int, q: int) -> int:
     return ((mask << t) | (mask >> (q - t))) & full
 
 
+def shift_table(mask: int, q: int) -> list[int]:
+    """All q rotations of a q-bit mask: entry t is the set S+t."""
+    full = (1 << q) - 1
+    doubled = mask | mask << q
+    return [(doubled >> (q - t)) & full for t in range(q)]
+
+
 @dataclass(frozen=True)
 class ResidueSet:
     """A subset of Z_q, stored as a bitmask of its residues."""
@@ -261,33 +268,6 @@ def proper_nontrivial_subgroups(q: int) -> list[Subgroup]:
     return [Subgroup(q, n) for n in divisors(q) if 1 < n < q]
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """x -> scale*x + shift on Z_q, with invertible scale."""
-
-    scale: int
-    shift: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if math.gcd(self.scale, self.q) != 1:
-            raise ValueError(f"scale {self.scale} not invertible mod {self.q}")
-        if not 0 <= self.shift < self.q:
-            raise ValueError("shift must lie in [0, q-1]")
-
-    def apply(self, A: ResidueSet) -> ResidueSet:
-        if A.q != self.q:
-            raise ModulusMismatchError("affine map modulus differs from set modulus")
-        return A.dilated(self.scale).shifted(self.shift)
-
-    def apply_point(self, x: int) -> int:
-        return (self.scale * x + self.shift) % self.q
-
-    def inverse(self) -> "AffineMap":
-        c = pow(self.scale, -1, self.q)
-        return AffineMap(c, (-c * self.shift) % self.q, self.q)
-
-
 # ---------------------------------------------------------------------------
 # operations
 
@@ -322,6 +302,42 @@ def interval(a: int, b: int, q: int) -> ResidueSet:
         return ResidueSet.full(q)
     mask = shift_mask((1 << length) - 1, a % q, q)
     return ResidueSet(q, mask)
+
+
+def affine_orbit(mask: int, q: int) -> Iterator[tuple[int, int, int]]:
+    """Every image c*S + s of the set S with this mask, as (image mask, c, s):
+    c over units(q) ascending, and s ascending within each c.  An image
+    reached by several maps is yielded once per map."""
+    elems = [x for x in range(q) if mask >> x & 1]
+    for c in units(q):
+        dilate = 0
+        for x in elems:
+            dilate |= 1 << (c * x % q)
+        for s, image in enumerate(shift_table(dilate, q)):
+            yield image, c, s
+
+
+def coset_runs(mask: int, t: int, q: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The cosets of <t> inside the set S with this mask (by least element,
+    ascending), and the maximal t-progressions of S in the other cosets, as
+    elements in cycle order, walking each coset along rep, rep+t, ..."""
+    g = math.gcd(t, q)
+    order = q // g
+    full_cosets: list[int] = []
+    runs: list[tuple[int, ...]] = []
+    for rep in range(g):
+        cycle = [(rep + j * t) % q for j in range(order)]
+        inside = [mask >> x & 1 for x in cycle]
+        if all(inside):
+            full_cosets.append(rep)
+            continue
+        for j in range(order):
+            if inside[j] and not inside[j - 1]:
+                run = [cycle[j]]
+                while inside[(j + len(run)) % order]:
+                    run.append(cycle[(j + len(run)) % order])
+                runs.append(tuple(run))
+    return full_cosets, runs
 
 
 def seminorm(x: int, q: int) -> int:

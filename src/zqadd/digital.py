@@ -4,7 +4,6 @@ about them: the impact lower bound and the small-doubling classification."""
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from itertools import product
@@ -13,13 +12,13 @@ from typing import Iterator, Optional
 from .core import (
     BudgetExceededError,
     ResidueSet,
+    affine_orbit,
     factorize,
     interval,
-    shift_mask,
+    shift_table,
     sumset_mask,
-    units,
 )
-from .impact import xi2, xi3, xi_naive, xi_search
+from .impact import xi_exact, xi_naive
 from .progressions import min_alpha
 
 
@@ -147,17 +146,6 @@ def centered_digits(m: int) -> ResidueSet:
     return ResidueSet.from_elements(q, ((x + q) % q for x in range(lo, hi + 1)))
 
 
-def affine_orbit_masks(A: ResidueSet) -> set[int]:
-    """Masks of all images c*A + d with c invertible."""
-    q = A.q
-    out = set()
-    for c in units(q):
-        base = A.dilated(c).mask
-        for d in range(q):
-            out.add(shift_mask(base, d, q))
-    return out
-
-
 @dataclass(frozen=True)
 class CarryExtremalityReport:
     m: int
@@ -214,8 +202,8 @@ def verify_carry_extremality(m: int, budget: int = 5_000_000) -> CarryExtremalit
         elif nz == best_nonzero:
             nonzero_minimizers.append(w.set.mask)
 
-    interval_orbit = affine_orbit_masks(canonical_interval_digits(m))
-    centered_orbit = affine_orbit_masks(centered_digits(m))
+    interval_orbit = {img for img, _, _ in affine_orbit(canonical_interval_digits(m).mask, q)}
+    centered_orbit = {img for img, _, _ in affine_orbit(centered_digits(m).mask, q)}
     interval_stats = carry_stats(is_digital(canonical_interval_digits(m)))
     centered_stats = carry_stats(is_digital(centered_digits(m)))
     return CarryExtremalityReport(
@@ -305,7 +293,7 @@ def verify_digital_impact_bound(
             if not 1 < n < q - m:
                 skipped.append({"set": list(A.elements), "n": n, "reason": "range"})
                 continue
-            val = _window_xi(A, n)
+            val = xi_exact(A, n)
             if n <= cross_check_naive_upto and n >= 2:
                 naive = xi_naive(A, n).value
                 if naive != val:
@@ -319,17 +307,6 @@ def verify_digital_impact_bound(
     return ImpactBoundReport(
         m, q, total, two_ap, checked, window, assertive, counterexamples, skipped
     )
-
-
-def _window_xi(A: ResidueSet, n: int) -> int:
-    if n == 2:
-        return xi2(A)
-    if n == 3:
-        return xi3(A)
-    res = xi_search(A, n)
-    if not res.exact:
-        raise BudgetExceededError(f"xi_search inexact at n={n}")
-    return res.value
 
 
 @dataclass(frozen=True)
@@ -370,7 +347,6 @@ def verify_small_doubling_classification(
     interval_mask = interval(0, m - 1, q).mask
     solutions = []
     scanned = survivors = 0
-    all_interval = True
     for w in enumerate_digital_sets(m, q, budget):
         scanned += 1
         A = w.set
@@ -381,9 +357,10 @@ def verify_small_doubling_classification(
         pair = _find_covering_pair(A.mask, aa, q)
         if pair is None:
             continue
-        normal = _interval_normal_form(A, interval_mask)
-        if normal is None:
-            all_interval = False
+        # (c, s) with c*A + s = [0, m-1], if A is an affine interval image
+        orbit = affine_orbit(A.mask, q)
+        maps = ({"scale": c, "shift": s} for img, c, s in orbit if img == interval_mask)
+        normal = next(maps, None)
         solutions.append(
             {
                 "elements": list(A.elements),
@@ -391,6 +368,7 @@ def verify_small_doubling_classification(
                 "normal_form": normal,
             }
         )
+    all_interval = all(s["normal_form"] is not None for s in solutions)
     return SmallDoublingReport(
         m, q, scanned, survivors, solutions, all_interval, LITERAL_CONCLUSION_NOTE
     )
@@ -398,22 +376,11 @@ def verify_small_doubling_classification(
 
 def _find_covering_pair(a_mask: int, aa: int, q: int) -> Optional[tuple[int, int]]:
     full = (1 << q) - 1
-    shifts = [shift_mask(a_mask, x, q) for x in range(q)]
+    shifts = shift_table(a_mask, q)
     for x in range(q):
         sx = shifts[x]
         for y in range(x, q):
             cover = sx | shifts[y]
             if cover != full and aa & ~cover == 0:
                 return (x, y)
-    return None
-
-
-def _interval_normal_form(A: ResidueSet, interval_mask: int) -> Optional[dict]:
-    """(c, d) with c*A + d = [0, m-1], if A is an affine interval image."""
-    q = A.q
-    for c in units(q):
-        img = A.dilated(c).mask
-        for d in range(q):
-            if shift_mask(img, d, q) == interval_mask:
-                return {"scale": c, "shift": d}
     return None

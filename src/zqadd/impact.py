@@ -14,6 +14,7 @@ from .core import (
     BudgetExceededError,
     ResidueSet,
     shift_mask,
+    shift_table,
     sumset,
     sumset_mask,
 )
@@ -91,7 +92,7 @@ def xi_search(
     if res is not None:
         return res
     q = A.q
-    shifts = [shift_mask(A.mask, t, q) for t in range(q)]
+    shifts = shift_table(A.mask, q)
     best = q + 1
     best_elems: Optional[tuple[int, ...]] = None
     nodes = 0
@@ -145,7 +146,7 @@ def xi2(A: ResidueSet) -> int:
 def xi3(A: ResidueSet) -> int:
     """xi_A(3) by exhaustive sweep over difference pairs (0 in B forced)."""
     q = A.q
-    shifts = [shift_mask(A.mask, t, q) for t in range(q)]
+    shifts = shift_table(A.mask, q)
     base = A.mask
     best = q + 1
     for d1 in range(1, q - 1):
@@ -157,6 +158,19 @@ def xi3(A: ResidueSet) -> int:
             if v < best:
                 best = v
     return best
+
+
+def xi_exact(A: ResidueSet, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
+    """xi_A(n) exactly: xi(2) by the alpha identity, xi(3) by the pair
+    sweep, otherwise xi_search; BudgetExceededError if the search is cut."""
+    if n == 2:
+        return xi2(A)
+    if n == 3:
+        return xi3(A)
+    res = xi_search(A, n, node_budget)
+    if not res.exact:
+        raise BudgetExceededError(f"xi_search inexact at n={n}")
+    return res.value
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +422,7 @@ def verify_impact_extension(
         A = sample_digital_set(m, q, rng)
         ok = True
         for n in range(2, end + 1):
-            if _xi_small(A, n, node_budget) < n + m + k:
+            if xi_exact(A, n, node_budget) < n + m + k:
                 ok = False
                 break
         if not ok:
@@ -419,7 +433,7 @@ def verify_impact_extension(
             if not 2 <= n <= q - m - k - 1:
                 continue
             try:
-                val = _xi_small(A, n, node_budget)
+                val = xi_exact(A, n, node_budget)
             except BudgetExceededError:
                 skipped.append({"set": list(A.elements), "n": n, "reason": "budget"})
                 continue
@@ -429,14 +443,3 @@ def verify_impact_extension(
     return TheoremMainReport(
         m, q, k, samples, hyp_holds, vacuous, checked, skipped, counterexamples
     )
-
-
-def _xi_small(A: ResidueSet, n: int, node_budget: int) -> int:
-    if n == 2:
-        return xi2(A)
-    if n == 3:
-        return xi3(A)
-    res = xi_search(A, n, node_budget)
-    if not res.exact:
-        raise BudgetExceededError(f"xi_search inexact at n={n}")
-    return res.value

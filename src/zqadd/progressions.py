@@ -9,15 +9,14 @@ from itertools import combinations
 from typing import Optional
 
 from .core import (
-    BudgetExceededError,
     ResidueSet,
     Subgroup,
+    affine_orbit,
+    coset_runs,
     interval,
     proper_nontrivial_subgroups,
-    seminorm,
     shift_mask,
-    sumset,
-    units,
+    shift_table,
 )
 
 
@@ -65,23 +64,9 @@ def decompose(A: ResidueSet, t: int) -> ApDecomposition:
         raise ValueError("difference must be nonzero")
     if A.mask == 0:
         raise ValueError("cannot decompose the empty set")
-    g = math.gcd(t, q)
-    order = q // g  # length of each coset cycle
-    full_cosets = []
-    progressions = []
-    for rep in range(g):
-        cycle = [(rep + j * t) % q for j in range(order)]
-        in_a = [x in A for x in cycle]
-        if all(in_a):
-            full_cosets.append(min(cycle))
-            continue
-        for j in range(order):
-            if in_a[j] and not in_a[j - 1]:
-                length = 1
-                while in_a[(j + length) % order]:
-                    length += 1
-                progressions.append((cycle[j], length))
-    return ApDecomposition(A, t, tuple(sorted(full_cosets)), tuple(sorted(progressions)))
+    full_cosets, runs = coset_runs(A.mask, t, q)
+    progressions = sorted((run[0], len(run)) for run in runs)
+    return ApDecomposition(A, t, tuple(full_cosets), tuple(progressions))
 
 
 def alpha(A: ResidueSet, t: int) -> int:
@@ -99,7 +84,8 @@ def alpha_profile(A: ResidueSet) -> dict[int, int]:
         raise ValueError("alpha profile of the empty set is undefined")
     if A.mask == (1 << A.q) - 1:
         raise ValueError("alpha profile of the full group is undefined")
-    return {t: alpha(A, t) for t in range(1, A.q)}
+    shifts = shift_table(A.mask, A.q)
+    return {t: (shifts[t] & ~A.mask).bit_count() for t in range(1, A.q)}
 
 
 def min_alpha(A: ResidueSet) -> int:
@@ -111,12 +97,6 @@ def optimal_differences(A: ResidueSet) -> list[int]:
     prof = alpha_profile(A)
     k = min(prof.values())
     return [t for t, a in sorted(prof.items()) if a == k]
-
-
-def find_multi_decompositions(A: ResidueSet) -> list[tuple[int, ApDecomposition]]:
-    """Every difference achieving the minimal progression count, with its
-    decomposition."""
-    return [(t, decompose(A, t)) for t in optimal_differences(A)]
 
 
 def coset_density_ok(A: ResidueSet) -> bool:
@@ -165,9 +145,17 @@ def _family_masks(q: int, size: int) -> tuple[int, int]:
     return interval_plus_point, point_plus_interval
 
 
+_FAMILY_LABELS = ("exception_interval_plus_point", "exception_point_plus_interval")
+
+
 def check_uniqueness(A: ResidueSet) -> UniquenessVerdict:
     """Classify the set of x with |A + {0,x}| = |A| + 2 for a set with
-    minimal progression count 2."""
+    minimal progression count 2.
+
+    Family 2 equals m - family 1, so both exception labels name one affine
+    orbit.  The label and the detail (c, s), with c^-1 * A + s that family,
+    come from the smallest scale c with c^-1 * A a translate of a family.
+    """
     q = A.q
     m = A.size
     prof = alpha_profile(A)
@@ -187,21 +175,20 @@ def check_uniqueness(A: ResidueSet) -> UniquenessVerdict:
     if len(diff_set) == 2 and diff_set[1] == (q - diff_set[0]) % q:
         return UniquenessVerdict(A, diff_set, "unique_pm_d", hypothesis)
 
+    # c^-1 * A + s = F  iff  A = c*F + t with t = -c*s: walk the orbits of
+    # both families in step, so their scale is the reported c
     fam1, fam2 = _family_masks(q, m)
-    for c in units(q):
-        image = A.dilated(pow(c, -1, q)).mask
-        for s in range(q):
-            rot = shift_mask(image, s, q)
-            if rot == fam1:
-                detail = {"scale": c, "shift": s}
-                return UniquenessVerdict(
-                    A, diff_set, "exception_interval_plus_point", hypothesis, detail
-                )
-            if rot == fam2:
-                detail = {"scale": c, "shift": s}
-                return UniquenessVerdict(
-                    A, diff_set, "exception_point_plus_interval", hypothesis, detail
-                )
+    found = []
+    for (img1, c, t), (img2, _, _) in zip(affine_orbit(fam1, q), affine_orbit(fam2, q)):
+        if found and c != found[0][0]:
+            break
+        for family, img in enumerate((img1, img2)):
+            if img == A.mask:
+                found.append((c, -t * pow(c, -1, q) % q, family))
+    if found:
+        c, s, family = min(found)
+        detail = {"scale": c, "shift": s}
+        return UniquenessVerdict(A, diff_set, _FAMILY_LABELS[family], hypothesis, detail)
     # structured dump for inspection
     detail = {
         "alpha_profile": prof,

@@ -9,15 +9,14 @@ across runs and worker counts; timing goes to stderr.
 from __future__ import annotations
 
 import json
-import math
 import sys
 import time
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .config import RunConfig
 from .core import (
     ResidueSet,
-    format_set,
     kneser_check,
     period_group,
     proper_nontrivial_subgroups,
@@ -104,6 +103,21 @@ def _random_proper_subset(rng, q: int) -> ResidueSet:
     return ResidueSet(q, mask)
 
 
+def _sweep(
+    chunk, q_values: range, parts: int, include_full: bool, workers: int
+) -> tuple[int, list]:
+    """Run chunk on tasks (q, lo, hi) of about 1/parts of the nonempty masks
+    of each Z_q (the full mask only if include_full); sum counts, join lists."""
+    tasks = []
+    for q in q_values:
+        end = (1 << q) if include_full else (1 << q) - 1
+        step = max(1, (end - 1) // parts)
+        for lo in range(1, end, step):
+            tasks.append((q, lo, min(lo + step, end)))
+    results = ordered_map(chunk, tasks, workers, chunksize=1)
+    return sum(c for c, _ in results), [entry for _, b in results for entry in b]
+
+
 # ---------------------------------------------------------------------------
 # 1. oracle equivalence
 
@@ -137,15 +151,7 @@ def _oracle_chunk(args: tuple[int, int, int]) -> tuple[int, list]:
 
 def suite_oracle_equivalence(cfg: RunConfig) -> dict:
     scale = _SCALE[cfg.profile]
-    tasks = []
-    for q in range(1, scale["oracle_q_max"] + 1):
-        top = (1 << q) - 1
-        step = max(1, (top - 1) // 16)
-        for lo in range(1, top, step):
-            tasks.append((q, lo, min(lo + step, top)))
-    results = ordered_map(_oracle_chunk, tasks, cfg.workers, chunksize=1)
-    total = sum(c for c, _ in results)
-    bad = [entry for _, b in results for entry in b]
+    total, bad = _sweep(_oracle_chunk, range(1, scale["oracle_q_max"] + 1), 16, False, cfg.workers)
     return _suite("oracle_equivalence", total, bad, q_max=scale["oracle_q_max"])
 
 
@@ -192,15 +198,8 @@ def _identity_chunk(args: tuple[int, int, int]) -> tuple[int, list]:
 
 def suite_identities(cfg: RunConfig) -> dict:
     scale = _SCALE[cfg.profile]
-    tasks = []
-    for q in range(2, scale["identity_q_max"] + 1):
-        top = (1 << q) - 1
-        step = max(1, (top - 1) // 16)
-        for lo in range(1, top, step):
-            tasks.append((q, lo, min(lo + step, top)))
-    results = ordered_map(_identity_chunk, tasks, cfg.workers, chunksize=1)
-    total = sum(c for c, _ in results)
-    bad = [entry for _, b in results for entry in b]
+    q_values = range(2, scale["identity_q_max"] + 1)
+    total, bad = _sweep(_identity_chunk, q_values, 16, False, cfg.workers)
 
     rng = cfg.rng("identities")
     for _ in range(scale["identity_samples"]):
@@ -296,12 +295,32 @@ def _inequality_instance(A: ResidueSet, B: ResidueSet, sidon_flag: Optional[bool
     return out
 
 
+@lru_cache(maxsize=None)
+def _sidon_flags(q: int) -> tuple[bool, ...]:
+    """Whether each mask of Z_q is a Sidon set (the empty mask: False)."""
+    return (False,) + tuple(sidon_check(ResidueSet(q, m)).is_sidon for m in range(1, 1 << q))
+
+
+def _pluennecke_violation(A: ResidueSet, B: ResidueSet) -> list:
+    rep = pluennecke_subset(A, B)
+    if rep.exact and not rep.holds:
+        return [
+            {
+                "inequality": "pluennecke",
+                "q": A.q,
+                "A": sorted(A.elements),
+                "B": sorted(B.elements),
+                "ratio": str(rep.ratio),
+                "beta": str(rep.beta),
+            }
+        ]
+    return []
+
+
 def _ineq_chunk(args: tuple[int, int, int]) -> tuple[int, list]:
     q, lo, hi = args
     top = (1 << q) - 1
-    sidon_flags = [False] * (top + 1)
-    for mask in range(1, top + 1):
-        sidon_flags[mask] = sidon_check(ResidueSet(q, mask)).is_sidon
+    sidon_flags = _sidon_flags(q)
     bad = []
     count = 0
     for amask in range(lo, hi):
@@ -314,15 +333,7 @@ def _ineq_chunk(args: tuple[int, int, int]) -> tuple[int, list]:
 
 def suite_sumset_inequalities(cfg: RunConfig) -> dict:
     scale = _SCALE[cfg.profile]
-    tasks = []
-    for q in range(1, scale["ineq_q_max"] + 1):
-        top = (1 << q) - 1
-        step = max(1, top // 24)
-        for lo in range(1, top + 1, step):
-            tasks.append((q, lo, min(lo + step, top + 1)))
-    results = ordered_map(_ineq_chunk, tasks, cfg.workers, chunksize=1)
-    total = sum(c for c, _ in results)
-    bad = [entry for _, b in results for entry in b]
+    total, bad = _sweep(_ineq_chunk, range(1, scale["ineq_q_max"] + 1), 24, True, cfg.workers)
 
     rng = cfg.rng("inequalities")
     plue_exact = 0
@@ -333,19 +344,8 @@ def suite_sumset_inequalities(cfg: RunConfig) -> dict:
         total += 1
         bad.extend(_inequality_instance(A, B))
         if 1 < A.size <= 12 and 1 < B.size <= 12:
-            rep = pluennecke_subset(A, B)
             plue_exact += 1
-            if rep.exact and not rep.holds:
-                bad.append(
-                    {
-                        "inequality": "pluennecke",
-                        "q": q,
-                        "A": sorted(A.elements),
-                        "B": sorted(B.elements),
-                        "ratio": str(rep.ratio),
-                        "beta": str(rep.beta),
-                    }
-                )
+            bad.extend(_pluennecke_violation(A, B))
     # dedicated larger Pluennecke instances, still within the exact cap
     for _ in range(scale["pluennecke_large_samples"]):
         q = rng.randrange(20, 61)
@@ -353,19 +353,8 @@ def suite_sumset_inequalities(cfg: RunConfig) -> dict:
         A = ResidueSet.from_elements(q, elems)
         B = ResidueSet.from_elements(q, rng.sample(range(q), rng.randrange(2, 7)))
         total += 1
-        rep = pluennecke_subset(A, B)
         plue_exact += 1
-        if rep.exact and not rep.holds:
-            bad.append(
-                {
-                    "inequality": "pluennecke",
-                    "q": q,
-                    "A": sorted(A.elements),
-                    "B": sorted(B.elements),
-                    "ratio": str(rep.ratio),
-                    "beta": str(rep.beta),
-                }
-            )
+        bad.extend(_pluennecke_violation(A, B))
     return _suite(
         "sumset_inequalities",
         total,
@@ -472,11 +461,7 @@ def suite_digital_impact_bound(cfg: RunConfig) -> dict:
 def suite_small_doubling(cfg: RunConfig) -> dict:
     m, q = _SCALE[cfg.profile]["corollary_mq"]
     rep = verify_small_doubling_classification(m, q)
-    bad = []
-    if not rep.all_affine_interval_images:
-        bad = [
-            s for s in rep.solutions if s["normal_form"] is None
-        ]
+    bad = [s for s in rep.solutions if s["normal_form"] is None]
     return _suite(
         "small_doubling_classification",
         rep.sets_scanned,

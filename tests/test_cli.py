@@ -60,8 +60,31 @@ class TestErrors:
         assert code == EXIT_ERROR
 
     def test_unknown_command(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["frobnicate"])
+        assert main(["frobnicate"]) == EXIT_ERROR
+
+    def test_unknown_flag(self, capsys):
+        # argparse would exit 2, which means "counterexample found"
+        code, _, err = run(capsys, "xi", "--q", "5", "--set", "0,1", "--n", "2", "--bogus")
+        assert code == EXIT_ERROR and "--bogus" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("mu", "--p", "7", "--budget-seconds", "1"),
+            ("mu", "--p", "7", "--seed", "1"),
+            ("construct", "--m", "3", "--q", "67"),
+            ("alpha", "--q", "5", "--set", "0,1", "--workers", "2"),
+            ("verify-all", "--budget-nodes", "10"),
+            ("digital", "check", "--q", "8", "--set", "0,3", "--m", "2"),
+            ("carries", "--q", "9", "--set", "0,1,2"),
+        ],
+    )
+    def test_removed_options(self, capsys, argv):
+        assert run(capsys, *argv)[0] == EXIT_ERROR
+
+    def test_help_exits_zero(self, capsys):
+        code, out, _ = run(capsys, "xi", "--help")
+        assert code == EXIT_OK and "--budget-nodes" in out
 
 
 class TestFormats:
@@ -107,13 +130,13 @@ class TestSubcommands:
         assert code == EXIT_OK and len(out.strip().splitlines()) == 4
 
     def test_carries(self, capsys):
-        code, out, _ = run(capsys, "carries", "--q", "9", "--set", "0,1,2")
+        code, out, _ = run(capsys, "digital", "carries", "--q", "9", "--set", "0,1,2")
         assert code == EXIT_OK
         data = json.loads(out)
         assert data["distinct_carries"] == [0, 1] and data["nonzero_pair_count"] == 3
 
     def test_carries_non_digital(self, capsys):
-        code, _, err = run(capsys, "carries", "--q", "8", "--set", "0,2")
+        code, _, err = run(capsys, "digital", "carries", "--q", "8", "--set", "0,2")
         assert code == EXIT_ERROR and "digital" in err
 
     def test_construct(self, capsys):

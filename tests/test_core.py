@@ -1,5 +1,6 @@
 """Core carrier type, sumsets, Kneser machinery, difference normalization."""
 
+import math
 import random
 
 import pytest
@@ -8,6 +9,8 @@ from zqadd.core import (
     ModulusMismatchError,
     ResidueSet,
     Subgroup,
+    affine_orbit,
+    coset_runs,
     crt_embed,
     format_set,
     interval,
@@ -21,6 +24,7 @@ from zqadd.core import (
     set_from_json,
     set_to_json,
     shift_mask,
+    shift_table,
     subgroup_lemma_check,
     sumset,
     units,
@@ -188,3 +192,52 @@ class TestNumberTheory:
         E = crt_embed(A, 3)
         assert E.q == 12
         assert all(x % 4 in (1, 3) and x % 3 == 0 for x in E.elements)
+
+
+def elements_of(mask, q):
+    return {x for x in range(q) if mask >> x & 1}
+
+
+class TestKernels:
+    def test_shift_table_every_mask(self):
+        for q in range(1, 11):
+            for mask in range(1 << q):
+                elems = elements_of(mask, q)
+                table = shift_table(mask, q)
+                assert len(table) == q
+                for t, image in enumerate(table):
+                    assert elements_of(image, q) == {(x + t) % q for x in elems}
+
+    @pytest.mark.parametrize("q", [2, 7, 9, 12])
+    def test_affine_orbit_every_map_once(self, q):
+        rng = random.Random(q)
+        for _ in range(5):
+            mask = rng.randrange(1 << q)
+            elems = elements_of(mask, q)
+            walk = list(affine_orbit(mask, q))
+            assert [(c, s) for _, c, s in walk] == [(c, s) for c in units(q) for s in range(q)]
+            for image, c, s in walk:
+                assert elements_of(image, q) == {(c * x + s) % q for x in elems}
+
+    @pytest.mark.parametrize("q", [7, 9, 12])
+    def test_affine_orbit_lex_least_image(self, q):
+        rng = random.Random(q)
+        for _ in range(10):
+            mask = rng.randrange(1, 1 << q)
+            elems = sorted(elements_of(mask, q))
+            brute = min(
+                tuple(sorted((c * x + s) % q for x in elems))
+                for c in range(1, q)
+                if math.gcd(c, q) == 1
+                for s in range(q)
+            )
+            walked = min(tuple(sorted(elements_of(img, q))) for img, _, _ in affine_orbit(mask, q))
+            assert walked == brute
+
+    def test_coset_runs(self):
+        # cosets of <4> in Z_12: {0,4,8} inside S; {1,5,9} meets S in 5,9
+        # (one run 5,9 along the cycle 1,5,9); {2,6,10} meets S in 10, 2
+        # (the run 10,2 wraps); {3,7,11} misses S
+        S_mask = sum(1 << x for x in (0, 4, 8, 5, 9, 2, 10))
+        assert coset_runs(S_mask, 4, 12) == ([0], [(5, 9), (10, 2)])
+        assert coset_runs(S_mask, 8, 12) == ([0], [(9, 5), (2, 10)])

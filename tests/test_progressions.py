@@ -1,5 +1,7 @@
 """AP decompositions, uniqueness classification, stable components."""
 
+import random
+
 import pytest
 
 from zqadd.core import ResidueSet, interval
@@ -39,8 +41,6 @@ class TestDecompose:
         assert len(sumset_pair(A, 3)) - A.size == 2
 
     def test_reassemble_roundtrip(self):
-        import random
-
         rng = random.Random(7)
         for _ in range(200):
             q = rng.randrange(2, 40)
@@ -97,6 +97,34 @@ class TestUniqueness:
         A = base.dilated(13)
         v = check_uniqueness(A)
         assert v.classification.startswith("exception_")
+
+    @pytest.mark.parametrize("q", [101, 103])
+    def test_affine_family_images_match_brute_force(self, q):
+        rng = random.Random(q)
+        for m in (5, 8, 20):
+            fam1 = set(range(m - 1)) | {m}
+            for fam in (fam1, {(m - x) % q for x in fam1}):
+                c, s = rng.randrange(1, q), rng.randrange(q)
+                A = S(q, [(c * x + s) % q for x in fam])
+                v = check_uniqueness(A)
+                assert (v.classification, v.detail) == self._brute_force(A, m)
+
+    @staticmethod
+    def _brute_force(A, m):
+        """The first (c, s), c ascending then s, with c^-1 * A + s a family."""
+        q = A.q
+        families = (
+            ("exception_interval_plus_point", set(range(m - 1)) | {m}),
+            ("exception_point_plus_interval", {0} | set(range(2, m + 1))),
+        )
+        for c in range(1, q):
+            inv = pow(c, -1, q)
+            for s in range(q):
+                image = {(inv * x + s) % q for x in A.elements}
+                for label, fam in families:
+                    if image == fam:
+                        return label, {"scale": c, "shift": s}
+        return None
 
     def test_requires_min_alpha_two(self):
         with pytest.raises(ValueError):
