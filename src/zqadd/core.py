@@ -222,7 +222,8 @@ def divisors(n: int) -> tuple[int, ...]:
 
 
 def units(q: int) -> tuple[int, ...]:
-    return tuple(c for c in range(1, q) if math.gcd(c, q) == 1)
+    # from 0, so that Z_1 has its one unit, 0
+    return tuple(c for c in range(q) if math.gcd(c, q) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +303,17 @@ def interval(a: int, b: int, q: int) -> ResidueSet:
         return ResidueSet.full(q)
     mask = shift_mask((1 << length) - 1, a % q, q)
     return ResidueSet(q, mask)
+
+
+@lru_cache(maxsize=None)
+def translation_classes(q: int) -> tuple[tuple[int, int], ...]:
+    """Each class {S+t : t in Z_q} of nonempty subsets of Z_q, as (least
+    rotation, orbit size), ascending; the orbit size is q / |period group|."""
+    out = []
+    for mask in range(1, 1 << q):
+        if mask == min(shift_table(mask, q)):
+            out.append((mask, q // period_group(ResidueSet(q, mask)).order))
+    return tuple(out)
 
 
 def affine_orbit(mask: int, q: int) -> Iterator[tuple[int, int, int]]:

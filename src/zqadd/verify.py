@@ -22,6 +22,7 @@ from .core import (
     proper_nontrivial_subgroups,
     subgroup_lemma_check,
     sumset_mask,
+    translation_classes,
 )
 from .digital import (
     enumerate_digital_sets,
@@ -103,19 +104,21 @@ def _random_proper_subset(rng, q: int) -> ResidueSet:
     return ResidueSet(q, mask)
 
 
-def _sweep(
-    chunk, q_values: range, parts: int, include_full: bool, workers: int
-) -> tuple[int, list]:
-    """Run chunk on tasks (q, lo, hi) of about 1/parts of the nonempty masks
-    of each Z_q (the full mask only if include_full); sum counts, join lists."""
+def _sweep(chunk, spans: list[tuple[int, int, int]], parts: int, workers: int) -> tuple[list[int], list]:
+    """Run chunk on tasks (q, lo, hi), about 1/parts of each span (q, first,
+    end); chunk returns (*counts, entries): sum each count, join entries."""
     tasks = []
-    for q in q_values:
-        end = (1 << q) if include_full else (1 << q) - 1
-        step = max(1, (end - 1) // parts)
-        for lo in range(1, end, step):
+    for q, first, end in spans:
+        step = max(1, (end - first) // parts)
+        for lo in range(first, end, step):
             tasks.append((q, lo, min(lo + step, end)))
     results = ordered_map(chunk, tasks, workers, chunksize=1)
-    return sum(c for c, _ in results), [entry for _, b in results for entry in b]
+    return [sum(col) for col in zip(*(r[:-1] for r in results))], [e for r in results for e in r[-1]]
+
+
+def _proper_masks(q_values: range) -> list[tuple[int, int, int]]:
+    """The nonempty proper masks 1 .. 2^q - 2 of each Z_q."""
+    return [(q, 1, (1 << q) - 1) for q in q_values]
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +154,7 @@ def _oracle_chunk(args: tuple[int, int, int]) -> tuple[int, list]:
 
 def suite_oracle_equivalence(cfg: RunConfig) -> dict:
     scale = _SCALE[cfg.profile]
-    total, bad = _sweep(_oracle_chunk, range(1, scale["oracle_q_max"] + 1), 16, False, cfg.workers)
+    (total,), bad = _sweep(_oracle_chunk, _proper_masks(range(1, scale["oracle_q_max"] + 1)), 16, cfg.workers)
     return _suite("oracle_equivalence", total, bad, q_max=scale["oracle_q_max"])
 
 
@@ -199,7 +202,7 @@ def _identity_chunk(args: tuple[int, int, int]) -> tuple[int, list]:
 def suite_identities(cfg: RunConfig) -> dict:
     scale = _SCALE[cfg.profile]
     q_values = range(2, scale["identity_q_max"] + 1)
-    total, bad = _sweep(_identity_chunk, q_values, 16, False, cfg.workers)
+    (total,), bad = _sweep(_identity_chunk, _proper_masks(q_values), 16, cfg.workers)
 
     rng = cfg.rng("identities")
     for _ in range(scale["identity_samples"]):
@@ -262,9 +265,12 @@ def suite_boundary_values(cfg: RunConfig) -> dict:
 # 4. sumset inequalities
 
 
-def _inequality_instance(A: ResidueSet, B: ResidueSet, sidon_flag: Optional[bool] = None):
-    """Violations of Kneser's bound and, for Sidon B, the Sidon sumset
-    bound, on one ordered pair."""
+def _inequality_instance(
+    A: ResidueSet, B: ResidueSet, a_sidon: Optional[bool] = None, b_sidon: Optional[bool] = None
+) -> list:
+    """Violations of Kneser's bound on the pair, and of the Sidon sumset
+    bound with B as the Sidon set and with A as the Sidon set (once if
+    A = B)."""
     out = []
     kn = kneser_check(A, B)
     if not kn.holds:
@@ -278,27 +284,30 @@ def _inequality_instance(A: ResidueSet, B: ResidueSet, sidon_flag: Optional[bool
                 "rhs": kn.rhs,
             }
         )
-    if sidon_flag is None:
-        sidon_flag = sidon_check(B).is_sidon
-    if sidon_flag:
-        sb = sidon_sumset_bound_check(A, B)
-        if not sb.holds:
-            out.append(
-                {
-                    "inequality": "sidon_sumset",
-                    "q": A.q,
-                    "A": sorted(A.elements),
-                    "B": sorted(B.elements),
-                    "sumset_size": sb.sumset_size,
-                }
-            )
+    if a_sidon is None:
+        a_sidon = sidon_check(A).is_sidon
+    if b_sidon is None:
+        b_sidon = sidon_check(B).is_sidon
+    for X, Y, y_sidon in ((A, B, b_sidon), (B, A, a_sidon and A != B)):
+        if y_sidon:
+            sb = sidon_sumset_bound_check(X, Y)
+            if not sb.holds:
+                out.append(
+                    {
+                        "inequality": "sidon_sumset",
+                        "q": X.q,
+                        "A": sorted(X.elements),
+                        "B": sorted(Y.elements),
+                        "sumset_size": sb.sumset_size,
+                    }
+                )
     return out
 
 
 @lru_cache(maxsize=None)
 def _sidon_flags(q: int) -> tuple[bool, ...]:
-    """Whether each mask of Z_q is a Sidon set (the empty mask: False)."""
-    return (False,) + tuple(sidon_check(ResidueSet(q, m)).is_sidon for m in range(1, 1 << q))
+    """Whether each translation class of Z_q is a class of Sidon sets."""
+    return tuple(sidon_check(ResidueSet(q, rep)).is_sidon for rep, _ in translation_classes(q))
 
 
 def _pluennecke_violation(A: ResidueSet, B: ResidueSet) -> list:
@@ -317,31 +326,42 @@ def _pluennecke_violation(A: ResidueSet, B: ResidueSet) -> list:
     return []
 
 
-def _ineq_chunk(args: tuple[int, int, int]) -> tuple[int, list]:
+def _ineq_chunk(args: tuple[int, int, int]) -> tuple[int, int, list]:
+    """Rows lo .. hi-1 of the unordered pairs (i <= j) of translation
+    classes of Z_q: (pairs checked, mask pairs covered, violations)."""
+    # Both bounds are unchanged under A -> A+s, B -> B+t, since
+    # (A+s)+(B+t) = (A+B)+(s+t) keeps |A+B| and the period group H, and
+    # |A+s+H| = |A+H|; Kneser's bound is also symmetric in A and B.  So the
+    # class representatives stand for every pair of their classes.
     q, lo, hi = args
-    top = (1 << q) - 1
-    sidon_flags = _sidon_flags(q)
+    classes = translation_classes(q)
+    sidon = _sidon_flags(q)
     bad = []
-    count = 0
-    for amask in range(lo, hi):
+    count = covered = 0
+    for i in range(lo, hi):
+        amask, asize = classes[i]
         A = ResidueSet(q, amask)
-        for bmask in range(amask, top + 1):
+        for j in range(i, len(classes)):
+            bmask, bsize = classes[j]
             count += 1
-            bad.extend(_inequality_instance(A, ResidueSet(q, bmask), sidon_flags[bmask]))
-    return count, bad
+            # a class of size n holds n(n+1)/2 unordered pairs of its sets
+            covered += asize * bsize if j > i else asize * (asize + 1) // 2
+            bad.extend(_inequality_instance(A, ResidueSet(q, bmask), sidon[i], sidon[j]))
+    return count, covered, bad
 
 
 def suite_sumset_inequalities(cfg: RunConfig) -> dict:
     scale = _SCALE[cfg.profile]
-    total, bad = _sweep(_ineq_chunk, range(1, scale["ineq_q_max"] + 1), 24, True, cfg.workers)
+    spans = [(q, 0, len(translation_classes(q))) for q in range(1, scale["ineq_q_max"] + 1)]
+    (total, covered), bad = _sweep(_ineq_chunk, spans, 24, cfg.workers)
 
     rng = cfg.rng("inequalities")
     plue_exact = 0
+    samples = scale["ineq_samples"] + scale["pluennecke_large_samples"]
     for _ in range(scale["ineq_samples"]):
         q = rng.randrange(3, 61)
         A = _random_proper_subset(rng, q)
         B = _random_proper_subset(rng, q)
-        total += 1
         bad.extend(_inequality_instance(A, B))
         if 1 < A.size <= 12 and 1 < B.size <= 12:
             plue_exact += 1
@@ -352,14 +372,14 @@ def suite_sumset_inequalities(cfg: RunConfig) -> dict:
         elems = rng.sample(range(q), rng.randrange(13, 17))
         A = ResidueSet.from_elements(q, elems)
         B = ResidueSet.from_elements(q, rng.sample(range(q), rng.randrange(2, 7)))
-        total += 1
         plue_exact += 1
         bad.extend(_pluennecke_violation(A, B))
     return _suite(
         "sumset_inequalities",
-        total,
+        total + samples,
         bad,
         q_max=scale["ineq_q_max"],
+        covered_instances=covered + samples,
         pluennecke_exact_instances=plue_exact,
     )
 
@@ -565,8 +585,12 @@ def run_suites(cfg: RunConfig, names: Optional[list[str]] = None) -> dict:
     reports = []
     for name, fn in chosen:
         start = time.monotonic()
-        reports.append(fn(cfg))
-        print(f"[{name}] {time.monotonic() - start:.1f}s", file=sys.stderr)
+        report = fn(cfg)
+        reports.append(report)
+        counts = "".join(
+            f" {key}={report[key]}" for key in ("instances", "covered_instances") if key in report
+        )
+        print(f"[{name}] {time.monotonic() - start:.1f}s{counts}", file=sys.stderr)
     return {
         "profile": cfg.profile,
         "seed": cfg.seed,

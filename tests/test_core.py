@@ -186,6 +186,9 @@ class TestNumberTheory:
 
     def test_units(self):
         assert tuple(units(8)) == (1, 3, 5, 7)
+        assert units(2) == (1,)
+        # Z_1 = {0} has one unit, 0
+        assert units(1) == (0,)
 
     def test_crt_embed(self):
         A = S(4, [1, 3])
@@ -218,6 +221,9 @@ class TestKernels:
             assert [(c, s) for _, c, s in walk] == [(c, s) for c in units(q) for s in range(q)]
             for image, c, s in walk:
                 assert elements_of(image, q) == {(c * x + s) % q for x in elems}
+
+    def test_affine_orbit_of_z1(self):
+        assert list(affine_orbit(1, 1)) == [(1, 0, 0)]
 
     @pytest.mark.parametrize("q", [7, 9, 12])
     def test_affine_orbit_lex_least_image(self, q):

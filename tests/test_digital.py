@@ -108,6 +108,11 @@ class TestCarryExtremality:
         assert (rep.min_distinct_carries, rep.min_nonzero_pairs) == self.MINIMA[m]
         assert rep.interval_attains_distinct_min
 
+    def test_trivial_modulus(self):
+        # Z_1: the one digit set {0} lies in its own affine orbit
+        rep = verify_carry_extremality(1)
+        assert rep.holds and rep.sets_scanned == 1
+
     def test_minimizers_in_orbits(self):
         rep = verify_carry_extremality(4)
         assert rep.distinct_minimizers_in_interval_orbit

@@ -1,0 +1,156 @@
+"""The pair sweep of sumset_inequalities over translation classes: class
+counts, coverage, both Sidon orientations, a planted fault, and the
+translation invariance the reduction rests on."""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zqadd import verify
+from zqadd.config import RunConfig
+from zqadd.core import KneserReport, ResidueSet, kneser_check, shift_table, translation_classes
+from zqadd.impact import sidon_check, sidon_sumset_bound_check
+
+
+def euler_phi(n):
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+def least_rotation(mask, q):
+    return min(shift_table(mask, q))
+
+
+def is_sidon(mask, q):
+    elems = [x for x in range(q) if mask >> x & 1]
+    diffs = [(a - b) % q for a in elems for b in elems if a != b]
+    return len(diffs) == len(set(diffs))
+
+
+def full_sweep(q):
+    """The reduced sweep over every pair of translation classes of Z_q."""
+    (count, covered), bad = verify._sweep(
+        verify._ineq_chunk, [(q, 0, len(translation_classes(q)))], 4, 1
+    )
+    return count, covered, bad
+
+
+@pytest.mark.parametrize("q", range(1, 13))
+def test_translation_classes_match_burnside(q):
+    classes = translation_classes(q)
+    assert sum(size for _, size in classes) == (1 << q) - 1
+    necklaces = sum(euler_phi(d) * (1 << (q // d)) for d in range(1, q + 1) if q % d == 0) // q
+    assert len(classes) == necklaces - 1
+    for rep, size in classes:
+        assert rep == least_rotation(rep, q)
+        assert size == len(set(shift_table(rep, q)))
+
+
+@pytest.mark.parametrize("q", range(1, 8))
+def test_reduced_sweep_covers_every_unordered_pair(q):
+    count, covered, bad = full_sweep(q)
+    top = 1 << q
+    assert covered == sum(1 for a in range(1, top) for b in range(a, top))
+    n = len(translation_classes(q))
+    assert count == n * (n + 1) // 2
+    assert bad == []
+
+
+@pytest.mark.parametrize("q", range(1, 8))
+def test_sidon_bound_checked_in_both_orientations(q, monkeypatch):
+    seen = []
+
+    def record(A, B):
+        seen.append((least_rotation(A.mask, q), least_rotation(B.mask, q)))
+        return sidon_sumset_bound_check(A, B)
+
+    monkeypatch.setattr(verify, "sidon_sumset_bound_check", record)
+    full_sweep(q)
+    reps = [rep for rep, _ in translation_classes(q)]
+    expected = {(a, b) for a in reps for b in reps if is_sidon(b, q)}
+    assert len(seen) == len(set(seen))
+    assert set(seen) == expected
+
+
+def test_unflagged_pair_checks_sidon_in_both_orientations(monkeypatch):
+    # the sampled pairs pass no Sidon flags: each set is tested as the Sidon set
+    seen = []
+
+    def record(A, B):
+        seen.append((A.elements, B.elements))
+        return sidon_sumset_bound_check(A, B)
+
+    monkeypatch.setattr(verify, "sidon_sumset_bound_check", record)
+    sidon = ResidueSet.from_elements(31, [0, 1, 3])
+    other_sidon = ResidueSet.from_elements(31, [0, 2, 7])
+    plain = ResidueSet.from_elements(31, range(10))
+    assert verify._inequality_instance(sidon, plain) == []
+    assert seen == [(plain.elements, sidon.elements)]
+    seen.clear()
+    assert verify._inequality_instance(sidon, other_sidon) == []
+    assert seen == [(sidon.elements, other_sidon.elements), (other_sidon.elements, sidon.elements)]
+    seen.clear()
+    assert verify._inequality_instance(sidon, sidon) == []
+    assert seen == [(sidon.elements, sidon.elements)]
+
+
+def test_planted_translation_invariant_fault_is_reported(monkeypatch):
+    q, planted = 7, least_rotation(0b1011, 7)  # the class of {0, 1, 3}
+
+    def faulty(A, B):
+        report = kneser_check(A, B)
+        if A.q == q and planted in (least_rotation(A.mask, q), least_rotation(B.mask, q)):
+            return KneserReport(False, report.H, report.lhs, report.rhs)
+        return report
+
+    monkeypatch.setattr(verify, "kneser_check", faulty)
+    report = verify.suite_sumset_inequalities(RunConfig(seed=1, profile="smoke"))
+    assert not report["passed"]
+    kneser = [c for c in report["counterexamples"] if c["inequality"] == "kneser"]
+    assert kneser
+    for c in kneser:
+        masks = [sum(1 << x for x in c[side]) for side in ("A", "B")]
+        assert c["q"] == q and planted in [least_rotation(m, q) for m in masks]
+    # every class of Z_7 meets the planted class in one reported pair
+    partners = {
+        least_rotation(sum(1 << x for x in c[side]), q)
+        for c in kneser
+        for side in ("A", "B")
+    }
+    assert partners == {rep for rep, _ in translation_classes(q)}
+
+
+def test_report_counts_checks_and_covered_pairs():
+    report = verify.suite_sumset_inequalities(RunConfig(seed=1, profile="smoke"))
+    scale = verify._SCALE["smoke"]
+    samples = scale["ineq_samples"] + scale["pluennecke_large_samples"]
+    exhaustive = sum(t * (t + 1) // 2 for t in ((1 << q) - 1 for q in range(1, scale["ineq_q_max"] + 1)))
+    classes = [len(translation_classes(q)) for q in range(1, scale["ineq_q_max"] + 1)]
+    assert report["passed"]
+    assert report["covered_instances"] == exhaustive + samples
+    assert report["instances"] == sum(n * (n + 1) // 2 for n in classes) + samples
+
+
+@st.composite
+def pair_and_shifts(draw):
+    q = draw(st.integers(1, 40))
+    a = draw(st.integers(1, (1 << q) - 1))
+    # small B is often Sidon, so both verdicts of the Sidon bound occur
+    b_elems = draw(st.sets(st.integers(0, q - 1), min_size=1, max_size=min(q, 5)))
+    s = draw(st.integers(0, q - 1))
+    t = draw(st.integers(0, q - 1))
+    return ResidueSet(q, a), ResidueSet.from_elements(q, b_elems), s, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_and_shifts())
+def test_bounds_invariant_under_translation(case):
+    A, B, s, t = case
+    As, Bt = A.shifted(s), B.shifted(t)
+    k, ks = kneser_check(A, B), kneser_check(As, Bt)
+    assert (k.lhs, k.rhs, k.H.order) == (ks.lhs, ks.rhs, ks.H.order)
+    assert sidon_check(B).is_sidon == sidon_check(Bt).is_sidon
+    if sidon_check(B).is_sidon:
+        r, rs = sidon_sumset_bound_check(A, B), sidon_sumset_bound_check(As, Bt)
+        assert (r.holds, r.sumset_size) == (rs.holds, rs.sumset_size)
