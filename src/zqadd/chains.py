@@ -15,6 +15,7 @@ from .core import (
     Subgroup,
     affine_orbit,
     coset_runs,
+    necklaces,
     next_prime,
     seminorm,
     shift_mask,
@@ -259,9 +260,11 @@ def construction_chain_family(
 
 @dataclass(frozen=True)
 class MuRecord:
+    """mu(p), its minimal witnesses and the paper's bounds on it."""
+
     p: int
     mu: int
-    witness_count: int
+    witness_count: int  # minimal witnesses that contain 0
     witnesses_up_to_affine: tuple[tuple[int, ...], ...]
     sqrt_bound: float  # sqrt(8p+25) - 5, applicable when mu < 2p/3
     log4_bound: float
@@ -291,14 +294,17 @@ def compute_mu(p: int, strategy: str = "auto", budget: int = 1 << 22) -> MuRecor
     """mu(p) = min |A| over proper subsets of Z_p with xi(2) = xi(3),
     with the minimal witnesses listed up to affine equivalence.
 
-    strategy: 'full' enumerates every subset; 'bounded' scans cardinalities
-    upward (translation-normalized, 0 in A) until the first hit; 'auto'
-    picks 'full' when 2^p fits the budget.
+    strategy: 'bounded' scans cardinalities k upward until the first hit,
+    testing one set per translation class: the binary necklaces of length
+    p with k ones (core.necklaces); 'full' tests every subset of Z_p, as
+    the unreduced oracle, and needs 2^p within the budget; 'auto' is
+    'bounded'.  Both count in witness_count the minimal witnesses that
+    contain 0.
     """
     if not (p >= 3 and next_prime(p) == p):
         raise ValueError("compute_mu needs an odd prime p")
     if strategy == "auto":
-        strategy = "full" if (1 << p) <= budget else "bounded"
+        strategy = "bounded"
 
     if strategy == "full":
         if (1 << p) > budget:
@@ -319,21 +325,28 @@ def compute_mu(p: int, strategy: str = "auto", budget: int = 1 << 22) -> MuRecor
                     witnesses.append(mask)
         if mu is None:
             raise AssertionError("no witness found; mu(p) <= p-1 always holds")
+        witness_count = sum(mask & 1 for mask in witnesses)
     elif strategy == "bounded":
         mu = None
         witnesses = []
         for size in range(2, p):
-            for rest in combinations(range(1, p), size - 1):
-                mask = 1
-                for x in rest:
-                    mask |= 1 << x
+            seen = 0
+            for mask in necklaces(p, size):
+                seen += 1
                 if _equal_impact_mask(mask, p):
                     witnesses.append(mask)
+            if seen * p != math.comb(p, size):
+                raise AssertionError(f"{seen} necklaces do not cover the {size}-subsets of Z_{p}")
             if witnesses:
                 mu = size
                 break
         if mu is None:
             raise AssertionError("no witness found below p")
+        # xi(2) = xi(3) is translation invariant, and with p prime and
+        # 0 < mu < p each class {A+x} has p distinct members (its period
+        # group is a proper subgroup of Z_p, so trivial), of which exactly
+        # mu contain 0: the A+x with -x in A
+        witness_count = mu * len(witnesses)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -352,7 +365,7 @@ def compute_mu(p: int, strategy: str = "auto", budget: int = 1 << 22) -> MuRecor
     return MuRecord(
         p,
         mu,
-        len(witnesses),
+        witness_count,
         tuple(canon),
         sqrt_bound,
         log4_bound,

@@ -305,15 +305,51 @@ def interval(a: int, b: int, q: int) -> ResidueSet:
     return ResidueSet(q, mask)
 
 
+def necklaces(n: int, d: int) -> Iterator[int]:
+    """The numerically least rotation of every translation class of
+    d-subsets of Z_n, ascending, one at a time.
+
+    Fredricksen-Kessler-Maiorana prenecklace search with a ones-count
+    prune, run from an explicit stack.  The n-bit mask is read as the
+    string a_1..a_n with a_1 its top bit, so lexicographic order on strings
+    is numeric order on masks and the lex-least rotation (the necklace) is
+    the least mask.  A prefix of length t-1 with period p keeps a_{t-p} in
+    bit p-1.
+    """
+    if not 0 <= d <= n:
+        return
+    spare = n - d  # zeros a necklace has room for
+    stack = [(0, 0, 1, 0)]  # (prefix mask, prefix length, period, ones)
+    while stack:
+        mask, length, p, ones = stack.pop()
+        if length == n:
+            if n % p == 0:  # prenecklace of period p | n: a necklace
+                yield mask
+            continue
+        t = length + 1
+        # a necklace with a 0 and a 1 ends in 1 (rotating a final 0 to the
+        # front lengthens the leading zero run), so its d-th one is a_n
+        one_ok = ones < d and (ones + 1 < d or t == n)
+        if mask >> (p - 1) & 1:  # a_{t-p} = 1: a_t = 1 only
+            if one_ok:
+                stack.append((mask << 1 | 1, t, p, ones + 1))
+        else:  # a_t = 0 keeps the period, a_t = 1 makes the prefix Lyndon
+            if one_ok:
+                stack.append((mask << 1 | 1, t, t, ones + 1))
+            if length - ones < spare:
+                stack.append((mask << 1, t, p, ones))
+
+
 @lru_cache(maxsize=None)
 def translation_classes(q: int) -> tuple[tuple[int, int], ...]:
     """Each class {S+t : t in Z_q} of nonempty subsets of Z_q, as (least
     rotation, orbit size), ascending; the orbit size is q / |period group|."""
-    out = []
-    for mask in range(1, 1 << q):
-        if mask == min(shift_table(mask, q)):
-            out.append((mask, q // period_group(ResidueSet(q, mask)).order))
-    return tuple(out)
+    out = [
+        (mask, q // period_group(ResidueSet(q, mask)).order)
+        for d in range(1, q + 1)
+        for mask in necklaces(q, d)
+    ]
+    return tuple(sorted(out))
 
 
 def affine_orbit(mask: int, q: int) -> Iterator[tuple[int, int, int]]:

@@ -543,8 +543,10 @@ def suite_mu(cfg: RunConfig) -> dict:
         full = compute_mu(p, "full")
         bounded = compute_mu(p, "bounded")
         count += 1
-        if full.mu != bounded.mu:
-            bad.append({"p": p, "full": full.mu, "bounded": bounded.mu})
+        for key in ("mu", "witness_count", "witnesses_up_to_affine"):
+            got = {"full": getattr(full, key), "bounded": getattr(bounded, key)}
+            if got["full"] != got["bounded"]:
+                bad.append({"p": p, "field": key, **got})
         if not full.bounds_hold:
             bad.append(
                 {

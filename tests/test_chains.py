@@ -1,8 +1,11 @@
 """Chain structure of equal-impact sets, the interval construction, mu(p)."""
 
+import itertools
+
 import pytest
 
-from zqadd.core import ResidueSet, interval, sumset
+from zqadd import chains
+from zqadd.core import ResidueSet, interval, necklaces, sumset
 from zqadd.chains import (
     build_construction,
     compute_mu,
@@ -109,17 +112,45 @@ class TestConstruction:
 
 
 class TestMu:
-    VALUES = {5: 4, 7: 4, 11: 8, 13: 7}
+    VALUES = {5: 4, 7: 4, 11: 8, 13: 7, 17: 10, 19: 9}
 
     @pytest.mark.parametrize("p", sorted(VALUES))
     def test_frozen_values(self, p):
-        rec = compute_mu(p, "full")
+        rec = compute_mu(p)
         assert rec.mu == self.VALUES[p]
         assert rec.bounds_hold
+        assert rec.strategy == "bounded"
 
     def test_strategies_agree(self):
-        for p in (5, 7, 11):
-            assert compute_mu(p, "full").mu == compute_mu(p, "bounded").mu
+        for p in (5, 7, 11, 13, 17):
+            full, bounded = compute_mu(p, "full"), compute_mu(p, "bounded")
+            assert (full.mu, full.witness_count, full.witnesses_up_to_affine) == (
+                bounded.mu,
+                bounded.witness_count,
+                bounded.witnesses_up_to_affine,
+            )
+
+    def test_witness_count_counts_witnesses_containing_zero(self):
+        rec = compute_mu(13, "full")
+        zero_in = sum(
+            1
+            for mask in range(1 << 13)
+            if mask & 1 and mask.bit_count() == rec.mu and chains._equal_impact_mask(mask, 13)
+        )
+        assert rec.witness_count == zero_in == 28
+
+    def test_p23(self):
+        rec = compute_mu(23)
+        assert (rec.mu, rec.witness_count, len(rec.witnesses_up_to_affine)) == (12, 528, 2)
+        assert rec.bounds_hold
+
+    def test_short_necklace_scan_is_caught(self, monkeypatch):
+        def short(n, d):
+            return itertools.islice(necklaces(n, d), 1, None)
+
+        monkeypatch.setattr(chains, "necklaces", short)
+        with pytest.raises(AssertionError, match="do not cover"):
+            compute_mu(7, "bounded")
 
     def test_mu7_sqrt_bound_tight(self):
         rec = compute_mu(7)

@@ -150,6 +150,12 @@ class TestSubcommands:
         code, out, _ = run(capsys, "mu", "--p", "7")
         assert code == EXIT_OK and json.loads(out)["mu"] == 4
 
+    def test_mu_counts_witnesses_containing_zero(self, capsys):
+        code, out, _ = run(capsys, "mu", "--p", "13")
+        data = json.loads(out)
+        assert code == EXIT_OK
+        assert (data["mu"], data["witness_count"], data["strategy"]) == (7, 28, "bounded")
+
     def test_chains_counterexample_exit(self, capsys):
         # an interval has no valid chain family for these differences
         code, out, _ = run(

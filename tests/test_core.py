@@ -15,6 +15,7 @@ from zqadd.core import (
     format_set,
     interval,
     kneser_check,
+    necklaces,
     next_prime,
     normalize_difference,
     parse_set,
@@ -27,6 +28,7 @@ from zqadd.core import (
     shift_table,
     subgroup_lemma_check,
     sumset,
+    translation_classes,
     units,
 )
 from zqadd.digital import enumerate_digital_sets
@@ -247,3 +249,39 @@ class TestKernels:
         S_mask = sum(1 << x for x in (0, 4, 8, 5, 9, 2, 10))
         assert coset_runs(S_mask, 4, 12) == ([0], [(5, 9), (10, 2)])
         assert coset_runs(S_mask, 8, 12) == ([0], [(9, 5), (2, 10)])
+
+
+def euler_phi(n):
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+class TestNecklaces:
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_count_is_the_fixed_density_necklace_number(self, n):
+        for d in range(n + 1):
+            g = math.gcd(n, d)
+            expected = sum(
+                euler_phi(j) * math.comb(n // j, d // j) for j in range(1, g + 1) if g % j == 0
+            ) // n
+            assert sum(1 for _ in necklaces(n, d)) == expected
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_ascending_least_rotations_of_density_d(self, n):
+        for d in range(n + 1):
+            masks = list(necklaces(n, d))
+            assert masks == sorted(set(masks))
+            for mask in masks:
+                assert mask.bit_count() == d
+                assert mask == min(shift_table(mask, n))
+
+    def test_density_out_of_range_yields_nothing(self):
+        assert list(necklaces(5, 6)) == [] and list(necklaces(5, -1)) == []
+
+    @pytest.mark.parametrize("q", range(1, 11))
+    def test_translation_classes_match_a_least_rotation_scan(self, q):
+        brute = [
+            (mask, len(set(shift_table(mask, q))))
+            for mask in range(1, 1 << q)
+            if mask == min(shift_table(mask, q))
+        ]
+        assert list(translation_classes(q)) == brute

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zqadd.core import ResidueSet, interval, period_group
 from zqadd.impact import (
@@ -179,3 +181,31 @@ class TestImpactExtension:
     def test_below_threshold_rejected(self):
         with pytest.raises(ValueError):
             verify_impact_extension(m=3, q=36, k=0, samples=5, window=(2,), seed=0)
+
+
+@st.composite
+def set_in(draw, moduli):
+    q = draw(moduli)
+    return ResidueSet(q, draw(st.integers(1, (1 << q) - 1)))
+
+
+def xi_values(A):
+    results = [xi_search(A, n) for n in range(A.q + 1)]
+    assert all(r.exact for r in results)
+    return [r.value for r in results]
+
+
+@settings(max_examples=300, deadline=None)
+@given(set_in(st.integers(1, 11)))
+def test_xi_monotone_in_n(A):
+    values = xi_values(A)
+    assert values == sorted(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(set_in(st.sampled_from([2, 3, 5, 7, 11])))
+def test_xi_cauchy_davenport(A):
+    # |A + B| >= min(p, |A| + |B| - 1) for every B of size n in Z_p
+    for n, value in enumerate(xi_values(A)):
+        if n:
+            assert value >= min(A.q, A.size + n - 1)

@@ -1,7 +1,9 @@
 """The pair sweep of sumset_inequalities over translation classes: class
 counts, coverage, both Sidon orientations, a planted fault, and the
-translation invariance the reduction rests on."""
+translation invariance the reduction rests on; the strategy cross-check
+of the mu suite."""
 
+import dataclasses
 import math
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zqadd import verify
+from zqadd.chains import compute_mu
 from zqadd.config import RunConfig
 from zqadd.core import KneserReport, ResidueSet, kneser_check, shift_table, translation_classes
 from zqadd.impact import sidon_check, sidon_sumset_bound_check
@@ -130,6 +133,21 @@ def test_report_counts_checks_and_covered_pairs():
     assert report["passed"]
     assert report["covered_instances"] == exhaustive + samples
     assert report["instances"] == sum(n * (n + 1) // 2 for n in classes) + samples
+
+
+@pytest.mark.parametrize("field", ["mu", "witness_count", "witnesses_up_to_affine"])
+def test_mu_suite_reports_a_strategy_mismatch(field, monkeypatch):
+    def skewed(p, strategy="auto"):
+        rec = compute_mu(p, strategy)
+        if strategy != "bounded":
+            return rec
+        wrong = {"mu": rec.mu + 1, "witness_count": rec.witness_count + 1, "witnesses_up_to_affine": ()}
+        return dataclasses.replace(rec, **{field: wrong[field]})
+
+    monkeypatch.setattr(verify, "compute_mu", skewed)
+    report = verify.suite_mu(RunConfig(seed=1, profile="smoke"))
+    assert not report["passed"]
+    assert [c["field"] for c in report["counterexamples"]] == [field] * len(verify._SCALE["smoke"]["mu_ps"])
 
 
 @st.composite
