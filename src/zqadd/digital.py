@@ -335,8 +335,13 @@ def verify_small_doubling_classification(
     m: int, q: int, budget: int = 5_000_000
 ) -> SmallDoublingReport:
     """Exhaustively find digital sets with 2A ⊆ {x,y} + A for some x, y
-    with {x,y} + A a proper subset of Z_q (prefiltered by |2A| <= 2m)
-    and check each is an affine image of an interval of length m.
+    with {x,y} + A a proper subset of Z_q, and check each is an affine
+    image of an interval of length m.
+
+    Prefilter: only sets with |2A| <= min(2m, q - 1) are searched for a
+    pair.  A cover (A+x) ∪ (A+y) has at most 2m elements, and at most
+    q - 1 when it is a proper subset of Z_q; it contains 2A, so a set
+    with a larger |2A| has no pair.
 
     The properness requirement matters only at q = 2m, where {0,m} + A
     equals Z_q for every digital set (the two lifts of each residue class
@@ -345,13 +350,14 @@ def verify_small_doubling_classification(
     if not prime_condition(m, q).accepted:
         raise ValueError(f"(m={m}, q={q}) fails the prime condition")
     interval_mask = interval(0, m - 1, q).mask
+    cover_max = min(2 * m, q - 1)
     solutions = []
     scanned = survivors = 0
     for w in enumerate_digital_sets(m, q, budget):
         scanned += 1
         A = w.set
         aa = sumset_mask(A.mask, A.mask, q)
-        if aa.bit_count() > 2 * m:
+        if aa.bit_count() > cover_max:
             continue
         survivors += 1
         pair = _find_covering_pair(A.mask, aa, q)

@@ -139,7 +139,10 @@ def xi_search(
 
 
 def xi2(A: ResidueSet) -> int:
-    """xi_A(2) via the progression identity |A| + min_t alpha_t(A)."""
+    """xi_A(2) via the progression identity |A| + min_t alpha_t(A); for
+    A = Z_q, whose alpha profile is undefined, A + B = Z_q and xi_A(2) = q."""
+    if A.mask == (1 << A.q) - 1:
+        return A.q
     return A.size + min(alpha_profile(A).values())
 
 
@@ -238,8 +241,9 @@ def pluennecke_subset(
     """The nonempty A' ⊆ A minimizing |A' + 2B| / |A'|, compared against
     beta^2 with beta = |A+B|/|A|.
 
-    Exact over all subsets when |A| <= exact_cap, randomized descent
-    (exact=False) beyond.
+    Exact when |A| <= exact_cap, by a branch-and-bound DFS over all
+    subsets that returns the first minimizer in DFS order; randomized
+    descent (exact=False) beyond.
     """
     A._check_same(B)
     if A.mask == 0 or B.mask == 0:
@@ -252,20 +256,28 @@ def pluennecke_subset(
     shifts = [shift_mask(bb, a, q) for a in elems]
 
     if m <= exact_cap:
-        best_ratio = None
+        # incumbent ratio bn/bd, compared by cross-multiplying; q+1 is
+        # beaten by every nonempty subset, whose ratio is at most q
+        bn, bd = q + 1, 1
         best_mask = 0
         # shared-prefix DFS over subsets of A
         stack = [(0, 0, 0, 0)]  # (index, chosen_mask, size, union)
         while stack:
             i, chosen, size, union = stack.pop()
-            if size:
-                r = Fraction(union.bit_count(), size)
-                if best_ratio is None or r < best_ratio:
-                    best_ratio = r
-                    best_mask = chosen
+            u = union.bit_count()
+            # Prune: this node and its descendants add only elements of
+            # index >= i, so each has size <= size + m - i and a union of
+            # >= u elements, hence ratio >= u / (size + m - i) >= bn / bd,
+            # and none beats the incumbent strictly.  The update below is
+            # strict too, so best_mask stays the first minimizer in DFS order.
+            if u * bd >= bn * (size + m - i):
+                continue
+            if size and u * bd < bn * size:
+                bn, bd = u, size
+                best_mask = chosen
             for j in range(m - 1, i - 1, -1):
                 stack.append((j + 1, chosen | (1 << elems[j]), size + 1, union | shifts[j]))
-        return PluenneckeReport(beta, ResidueSet(q, best_mask), best_ratio, True)
+        return PluenneckeReport(beta, ResidueSet(q, best_mask), Fraction(bn, bd), True)
 
     rng = rng or random.Random(0)
     current = list(range(m))

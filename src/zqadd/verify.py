@@ -310,20 +310,18 @@ def _sidon_flags(q: int) -> tuple[bool, ...]:
     return tuple(sidon_check(ResidueSet(q, rep)).is_sidon for rep, _ in translation_classes(q))
 
 
-def _pluennecke_violation(A: ResidueSet, B: ResidueSet) -> list:
+def _pluennecke_check(A: ResidueSet, B: ResidueSet, bad: list, skipped: list) -> int:
+    """Check Pluennecke's bound on (A, B); 1 if the search was exact.  An
+    inexact (descent) result proves nothing: it goes to skipped, never
+    counted as a pass."""
     rep = pluennecke_subset(A, B)
-    if rep.exact and not rep.holds:
-        return [
-            {
-                "inequality": "pluennecke",
-                "q": A.q,
-                "A": sorted(A.elements),
-                "B": sorted(B.elements),
-                "ratio": str(rep.ratio),
-                "beta": str(rep.beta),
-            }
-        ]
-    return []
+    entry = {"inequality": "pluennecke", "q": A.q, "A": sorted(A.elements), "B": sorted(B.elements)}
+    if not rep.exact:
+        skipped.append({**entry, "reason": "inexact"})
+        return 0
+    if not rep.holds:
+        bad.append({**entry, "ratio": str(rep.ratio), "beta": str(rep.beta)})
+    return 1
 
 
 def _ineq_chunk(args: tuple[int, int, int]) -> tuple[int, int, list]:
@@ -357,6 +355,7 @@ def suite_sumset_inequalities(cfg: RunConfig) -> dict:
 
     rng = cfg.rng("inequalities")
     plue_exact = 0
+    skipped = []
     samples = scale["ineq_samples"] + scale["pluennecke_large_samples"]
     for _ in range(scale["ineq_samples"]):
         q = rng.randrange(3, 61)
@@ -364,20 +363,19 @@ def suite_sumset_inequalities(cfg: RunConfig) -> dict:
         B = _random_proper_subset(rng, q)
         bad.extend(_inequality_instance(A, B))
         if 1 < A.size <= 12 and 1 < B.size <= 12:
-            plue_exact += 1
-            bad.extend(_pluennecke_violation(A, B))
+            plue_exact += _pluennecke_check(A, B, bad, skipped)
     # dedicated larger Pluennecke instances, still within the exact cap
     for _ in range(scale["pluennecke_large_samples"]):
         q = rng.randrange(20, 61)
         elems = rng.sample(range(q), rng.randrange(13, 17))
         A = ResidueSet.from_elements(q, elems)
         B = ResidueSet.from_elements(q, rng.sample(range(q), rng.randrange(2, 7)))
-        plue_exact += 1
-        bad.extend(_pluennecke_violation(A, B))
+        plue_exact += _pluennecke_check(A, B, bad, skipped)
     return _suite(
         "sumset_inequalities",
         total + samples,
         bad,
+        skipped,
         q_max=scale["ineq_q_max"],
         covered_instances=covered + samples,
         pluennecke_exact_instances=plue_exact,

@@ -1,9 +1,8 @@
 """Acceptance gate: the eleven desk-scale criteria, one pass/fail line each.
 
 The desk verification report is computed once per session and shared; the
-determinism criterion re-runs the whole suite through the CLI twice, so
-this module is the slow part of the test run (about half a minute on a
-two-core machine).
+determinism criterion re-runs the whole suite through the CLI twice.  The
+module takes about 15 s on a two-core machine.
 """
 
 import subprocess

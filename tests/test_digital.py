@@ -1,11 +1,13 @@
 """Digital sets, carry statistics, and the two digit-set verifiers."""
 
+import math
 import random
 
 import pytest
 
-from zqadd.core import ResidueSet, interval
+from zqadd.core import ResidueSet, interval, sumset_mask
 from zqadd.digital import (
+    _find_covering_pair,
     canonical_interval_digits,
     carry_stats,
     centered_digits,
@@ -160,3 +162,36 @@ class TestSmallDoubling:
         rep = verify_small_doubling_classification(m, q)
         sols = {tuple(s["elements"]) for s in rep.solutions}
         assert tuple(sorted(A.elements)) in sols
+
+    @pytest.mark.parametrize(
+        "m, q",
+        [
+            (m, q)
+            for q in range(2, 33)
+            for m in range(1, q + 1)
+            if prime_condition(m, q).accepted and (q // m) ** m <= 70_000
+        ],
+    )
+    def test_prefilter_loses_no_solution(self, m, q):
+        # every digital set goes to the pair search, without the |2A| prefilter
+        target = set(range(m))
+        expected = []
+        for w in enumerate_digital_sets(m, q):
+            A = w.set
+            pair = _find_covering_pair(A.mask, sumset_mask(A.mask, A.mask, q), q)
+            if pair is None:
+                continue
+            normal = next(
+                (
+                    {"scale": c, "shift": t}
+                    for c in range(1, q)
+                    if math.gcd(c, q) == 1
+                    for t in range(q)
+                    if {(c * a + t) % q for a in A.elements} == target
+                ),
+                None,
+            )
+            expected.append({"elements": list(A.elements), "pair": pair, "normal_form": normal})
+        rep = verify_small_doubling_classification(m, q)
+        assert rep.sets_scanned == (q // m) ** m
+        assert rep.solutions == expected

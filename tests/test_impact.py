@@ -1,7 +1,9 @@
 """Impact function oracles, Sidon/Pluennecke machinery, range bounds."""
 
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -19,10 +21,11 @@ from zqadd.impact import (
     verify_impact_extension,
     xi2,
     xi3,
+    xi_exact,
     xi_naive,
     xi_search,
 )
-from zqadd.progressions import min_alpha
+from zqadd.progressions import alpha, min_alpha
 
 
 def S(q, elems):
@@ -80,6 +83,14 @@ class TestImpactValues:
     def test_xi2_identity(self):
         A = S(12, [0, 1, 2, 7, 8])
         assert xi2(A) == A.size + min_alpha(A)
+
+    @pytest.mark.parametrize("q", [1, 2, 5, 12])
+    def test_xi2_full_group(self, q):
+        # the alpha profile of Z_q is undefined, but Z_q + B = Z_q
+        A = ResidueSet.full(q)
+        assert xi2(A) == q
+        if q >= 2:
+            assert xi_exact(A, 2) == xi_search(A, 2).value == q
 
     def test_budget_gives_inexact(self):
         A = S(18, list(range(9)))
@@ -147,6 +158,59 @@ class TestPluennecke:
             assert rep.holds
 
 
+def pluennecke_oracle(A, B, cache):
+    """(beta, least ratio, first minimizer) by scanning every nonempty
+    A' ⊆ A with set arithmetic and Fraction ratios, no pruning.  Subsets
+    are compared by (ratio, sorted elements): the search's DFS visits
+    subsets in lexicographic order of their sorted elements, and keeps the
+    first minimizer it meets.  The scan depends on A and 2B only, and is
+    kept in cache under that key."""
+    q = A.q
+    b = B.elements
+    two_b = frozenset((x + y) % q for x in b for y in b)
+    beta = Fraction(len({(a + x) % q for a in A.elements for x in b}), A.size)
+    key = (A.mask, two_b)
+    if key not in cache:
+        shifted = {a: {(a + s) % q for s in two_b} for a in A.elements}
+        best = None
+        for k in range(1, A.size + 1):
+            for sub in combinations(A.elements, k):
+                cand = (Fraction(len(set().union(*(shifted[a] for a in sub))), k), sub)
+                if best is None or cand < best:
+                    best = cand
+        cache[key] = best
+    return (beta, *cache[key])
+
+
+def assert_matches_oracle(A, B, cache):
+    rep = pluennecke_subset(A, B)
+    beta, ratio, subset = pluennecke_oracle(A, B, cache)
+    assert rep.exact
+    assert (rep.beta, rep.ratio, rep.best_subset.elements) == (beta, ratio, subset)
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_pluennecke_matches_oracle_on_every_pair(q):
+    cache = {}
+    for amask in range(1, 1 << q):
+        A = ResidueSet(q, amask)
+        for bmask in range(1, 1 << q):
+            assert_matches_oracle(A, ResidueSet(q, bmask), cache)
+
+
+@st.composite
+def pluennecke_pair(draw):
+    q = draw(st.integers(1, 40))
+    elems = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=12, unique=True))
+    return ResidueSet.from_elements(q, elems), ResidueSet(q, draw(st.integers(1, (1 << q) - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pluennecke_pair())
+def test_pluennecke_matches_oracle(pair):
+    assert_matches_oracle(*pair, {})
+
+
 class TestRangeBounds:
     def test_paper_thresholds(self):
         assert beta_threshold(0) == 5
@@ -209,3 +273,25 @@ def test_xi_cauchy_davenport(A):
     for n, value in enumerate(xi_values(A)):
         if n:
             assert value >= min(A.q, A.size + n - 1)
+
+
+@st.composite
+def affine_case(draw):
+    q = draw(st.integers(2, 12))
+    A = ResidueSet(q, draw(st.integers(1, (1 << q) - 2)))
+    c = draw(st.sampled_from([c for c in range(1, q) if math.gcd(c, q) == 1]))
+    return A, c, draw(st.integers(0, q - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(affine_case())
+def test_xi_and_alpha_invariant_under_affine_maps(case):
+    # x -> cx + s with c a unit is an automorphism of Z_q composed with a
+    # translation: it maps A + B onto (cA + s) + cB and preserves sizes
+    A, c, s = case
+    q = A.q
+    image = ResidueSet.from_elements(q, ((c * a + s) % q for a in A.elements))
+    for n in range(q + 1):
+        assert xi_naive(image, n).value == xi_naive(A, n).value
+    for t in range(1, q):
+        assert alpha(image, c * t) == alpha(A, t)

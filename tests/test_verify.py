@@ -1,7 +1,7 @@
 """The pair sweep of sumset_inequalities over translation classes: class
 counts, coverage, both Sidon orientations, a planted fault, and the
 translation invariance the reduction rests on; the strategy cross-check
-of the mu suite."""
+of the mu suite; inexact Pluennecke results are skipped, not passed."""
 
 import dataclasses
 import math
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zqadd import verify
+from zqadd import impact, verify
 from zqadd.chains import compute_mu
 from zqadd.config import RunConfig
 from zqadd.core import KneserReport, ResidueSet, kneser_check, shift_table, translation_classes
@@ -133,6 +133,25 @@ def test_report_counts_checks_and_covered_pairs():
     assert report["passed"]
     assert report["covered_instances"] == exhaustive + samples
     assert report["instances"] == sum(n * (n + 1) // 2 for n in classes) + samples
+
+
+def test_inexact_pluennecke_is_skipped_not_counted(monkeypatch):
+    cap = 12  # below the 13..16 elements of the dedicated large samples
+    seen = []
+
+    def capped(A, B):
+        rep = impact.pluennecke_subset(A, B, exact_cap=cap)
+        seen.append((A.elements, rep.exact))
+        return rep
+
+    monkeypatch.setattr(verify, "pluennecke_subset", capped)
+    report = verify.suite_sumset_inequalities(RunConfig(seed=1, profile="smoke"))
+    inexact = [elems for elems, exact in seen if not exact]
+    assert len(inexact) == verify._SCALE["smoke"]["pluennecke_large_samples"]
+    assert all(len(elems) > cap for elems in inexact)
+    assert report["pluennecke_exact_instances"] == len(seen) - len(inexact)
+    assert [tuple(s["A"]) for s in report["skipped"]] == inexact
+    assert all(s["inequality"] == "pluennecke" and s["reason"] == "inexact" for s in report["skipped"])
 
 
 @pytest.mark.parametrize("field", ["mu", "witness_count", "witnesses_up_to_affine"])
