@@ -38,7 +38,7 @@ from .impact import (
     sidon_check,
     verify_impact_extension,
     xi2,
-    xi3,
+    xi_exact,
     xi_naive,
     xi_search,
 )

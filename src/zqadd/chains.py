@@ -21,7 +21,7 @@ from .core import (
     shift_mask,
     shift_table,
 )
-from .impact import xi2, xi3
+from .impact import xi2, xi_exact
 from .progressions import contained_in_coset, optimal_differences
 
 
@@ -142,7 +142,7 @@ def extract_chain_structure(
     if len(used) != len(runs):
         violations.append("chain_partition: some runs belong to no chain")
 
-    kk = k_bound if k_bound is not None else xi3(A) - A.size
+    kk = k_bound if k_bound is not None else xi_exact(A, 3) - A.size
     for i, mk in enumerate(run_masks):
         if mk.bit_count() > kk:
             violations.append(f"condition_i: run {i} longer than k = {kk}")

@@ -81,12 +81,21 @@ def xi_naive(A: ResidueSet, n: int, budget: int = DEFAULT_NODE_BUDGET) -> Impact
 def xi_search(
     A: ResidueSet, n: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> ImpactResult:
-    """Branch-and-bound equivalent of xi_naive.
+    """Branch-and-bound over prenecklace gap sequences, same lexicographic
+    witness as xi_naive.
 
-    Candidates are chosen in increasing order with 0 forced into B;
-    |A + B_partial| is monotone along a branch, so a branch whose partial
-    sumset already reaches the incumbent is cut.  If the node budget runs
-    out the best incumbent is returned with exact=False.
+    B = {0 = b_0 < ... < b_{n-1}} has gaps g_i = b_i - b_{i-1} and wrap gap
+    g_n = q - b_{n-1}; the sorted translate B - b_j is the running sum of
+    the gaps rotated by j, so translates compare as gap rotations do.  The
+    least minimizer B* is <= each translate B* - b (b in B*), a minimizer
+    containing 0, so its gaps are their own least rotation: every prefix is
+    a prenecklace (Fredricksen-Kessler-Maiorana: with p the period of
+    g_1..g_t, g_{t+1} >= g_{t+1-p}) and every gap is >= g_1, so
+    b_{t+1} + g_1 * (gaps still to come) <= q.  Candidates ascend, so leaves
+    come in lexicographic order; with strict updates and the cut on
+    |A + B_partial| >= incumbent (it only grows), B* is the first minimizer
+    found.  A node is a pop or a scanned last element; when the node budget
+    runs out the incumbent is returned with exact=False.
     """
     res = _trivial_impact(A, n)
     if res is not None:
@@ -99,26 +108,38 @@ def xi_search(
     exact = True
     need = n - 1
 
-    # iterative DFS: stack of (next_candidate, chosen, partial_mask)
-    stack = [(1, (), A.mask)]
+    # iterative DFS: stack of (chosen = (0, b_1, .., b_t), period, partial_mask)
+    stack = [((0,), 1, A.mask)]
     while stack:
-        start, chosen, partial = stack.pop()
         if nodes >= node_budget:
             exact = False
             break
+        chosen, p, partial = stack.pop()
         nodes += 1
-        if len(chosen) == need:
-            v = partial.bit_count()
-            if v < best:
-                best = v
-                best_elems = chosen
+        floor = partial.bit_count()
+        if floor >= best:
             continue
-        if partial.bit_count() >= best:
+        t = len(chosen) - 1
+        if t:  # gap >= g_{t+1-p}; the period stays p on equality, else is t+1
+            lo = chosen[t] + chosen[t + 1 - p] - chosen[t - p]
+            hi = q - chosen[1] * (need - t)
+        else:  # the first element is g_1 itself: n * g_1 <= q
+            lo, hi = 1, q // n
+        if t + 1 == need:
+            for c in range(lo, hi + 1):
+                nodes += 1
+                v = (partial | shifts[c]).bit_count()
+                if v < best:
+                    best = v
+                    best_elems = chosen[1:] + (c,)
+                    if v == floor:  # no later leaf here goes below floor
+                        break
             continue
-        remaining = need - len(chosen)
         # push in reverse so smaller candidates are explored first
-        for c in range(q - remaining, start - 1, -1):
-            stack.append((c + 1, chosen + (c,), partial | shifts[c]))
+        for c in range(hi, lo - 1, -1):
+            child = partial | shifts[c]
+            if child.bit_count() < best:
+                stack.append((chosen + (c,), p if c == lo else t + 1, child))
 
     if best_elems is None:
         # budget ran out before any leaf: fall back to the greedy witness
@@ -146,30 +167,8 @@ def xi2(A: ResidueSet) -> int:
     return A.size + min(alpha_profile(A).values())
 
 
-def xi3(A: ResidueSet) -> int:
-    """xi_A(3) by exhaustive sweep over difference pairs (0 in B forced)."""
-    q = A.q
-    shifts = shift_table(A.mask, q)
-    base = A.mask
-    best = q + 1
-    for d1 in range(1, q - 1):
-        m1 = base | shifts[d1]
-        if m1.bit_count() >= best:
-            continue
-        for d2 in range(d1 + 1, q):
-            v = (m1 | shifts[d2]).bit_count()
-            if v < best:
-                best = v
-    return best
-
-
 def xi_exact(A: ResidueSet, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """xi_A(n) exactly: xi(2) by the alpha identity, xi(3) by the pair
-    sweep, otherwise xi_search; BudgetExceededError if the search is cut."""
-    if n == 2:
-        return xi2(A)
-    if n == 3:
-        return xi3(A)
+    """xi_A(n) by xi_search; BudgetExceededError if the search is cut."""
     res = xi_search(A, n, node_budget)
     if not res.exact:
         raise BudgetExceededError(f"xi_search inexact at n={n}")

@@ -32,7 +32,7 @@ from .digital import (
     verify_small_doubling_classification,
 )
 from .chains import build_construction, compute_mu, construction_chain_family, project_to_prime
-from .impact import pluennecke_subset, sidon_check, sidon_sumset_bound_check, xi2, xi3, xi_naive, xi_search
+from .impact import pluennecke_subset, sidon_check, sidon_sumset_bound_check, xi2, xi_exact, xi_naive, xi_search
 from .parallel import ordered_map
 from .progressions import alpha, decompose, min_alpha
 
@@ -523,7 +523,7 @@ def suite_construction(cfg: RunConfig) -> dict:
         "m3_chains": len(fam.chains),
         # asymptotic regime: reported, never asserted
         "m3_xi2": xi2(A),
-        "m3_xi3": xi3(A),
+        "m3_xi3": xi_exact(A, 3),
     }
     return _suite("construction", count, bad, densities=densities, **info)
 

@@ -20,7 +20,6 @@ from zqadd.impact import (
     sidon_sumset_bound_check,
     verify_impact_extension,
     xi2,
-    xi3,
     xi_exact,
     xi_naive,
     xi_search,
@@ -78,7 +77,7 @@ class TestImpactValues:
             A = ResidueSet(q, rng.randrange(1, (1 << q) - 1))
             if A.size <= q - 3:
                 assert xi2(A) == xi_naive(A, 2).value
-                assert xi3(A) == xi_naive(A, 3).value
+                assert xi_exact(A, 3) == xi_naive(A, 3).value
 
     def test_xi2_identity(self):
         A = S(12, [0, 1, 2, 7, 8])
@@ -97,6 +96,29 @@ class TestImpactValues:
         r = xi_search(A, 5, node_budget=3)
         assert not r.exact
         assert r.value >= xi_search(A, 5).value
+
+    @pytest.mark.parametrize("q, n", [(1, 2), (2, 3)])
+    def test_xi_exact_range(self, q, n):
+        with pytest.raises(ValueError):
+            xi_exact(ResidueSet.full(q), n)
+
+    def test_search_equals_naive_every_n(self):
+        # every mask and every n, beyond the n <= q - |A| of the desk sweep
+        for q in range(1, 11):
+            for mask in range(1, 1 << q):
+                A = ResidueSet(q, mask)
+                for n in range(q + 1):
+                    rn, rs = xi_naive(A, n), xi_search(A, n)
+                    assert rs.exact and (rs.value, rs.witness) == (rn.value, rn.witness)
+
+    def test_search_node_ceiling(self):
+        # 2,084 nodes with the prenecklace prune, 55,102 for a DFS over
+        # every B containing 0: losing the prune fails this test
+        rng = random.Random(4)
+        A = ResidueSet.from_elements(32, rng.sample(range(32), 9))
+        r = xi_search(A, 8)
+        assert (r.value, r.witness.elements) == (26, (0, 1, 2, 3, 8, 11, 12, 22))
+        assert r.exact and r.nodes_explored <= 2_200
 
 
 class TestSidon:
@@ -273,6 +295,28 @@ def test_xi_cauchy_davenport(A):
     for n, value in enumerate(xi_values(A)):
         if n:
             assert value >= min(A.q, A.size + n - 1)
+
+
+@st.composite
+def coset_union(draw):
+    # A a union of cosets of <d>, plus up to two flipped elements: periodic
+    # B and ties between rotations of the gap sequence
+    q = draw(st.sampled_from([14, 15, 16, 18, 20, 21, 22, 24]))
+    d = draw(st.sampled_from([d for d in range(2, q) if q % d == 0]))
+    residues = draw(st.sets(st.integers(0, d - 1), min_size=1, max_size=d - 1))
+    mask = sum(1 << x for x in range(q) if x % d in residues)
+    for x in draw(st.sets(st.integers(0, q - 1), max_size=2)):
+        mask ^= 1 << x
+    return ResidueSet(q, mask or 1)
+
+
+# q in [13, 24] and n in {4, 5}: C(q-1, n-1) <= 8,855 subsets for xi_naive,
+# past the q <= 12 of the desk sweep, where the prune cuts harder
+@settings(max_examples=800, deadline=None)
+@given(st.one_of(set_in(st.sampled_from(range(13, 25))), coset_union()), st.sampled_from([4, 5]))
+def test_search_equals_naive_wide(A, n):
+    rn, rs = xi_naive(A, n), xi_search(A, n)
+    assert rs.exact and (rs.value, rs.witness) == (rn.value, rn.witness)
 
 
 @st.composite
