@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Optional
 
 from .core import (
@@ -21,8 +20,8 @@ from .core import (
     shift_mask,
     shift_table,
 )
-from .impact import xi2, xi_exact
-from .progressions import contained_in_coset, optimal_differences
+from .impact import xi_exact
+from .progressions import contained_in_coset
 
 
 def equal_impact_witnesses(A: ResidueSet) -> Optional[tuple[int, int]]:
@@ -32,16 +31,30 @@ def equal_impact_witnesses(A: ResidueSet) -> Optional[tuple[int, int]]:
     Both differences must individually be optimal for xi(2), so the sweep
     runs over pairs of optimal differences, ordered by seminorm.
     """
-    q = A.q
-    if A.mask == 0 or A.mask == (1 << q) - 1:
+    if A.mask == 0 or A.mask == (1 << A.q) - 1:
         raise ValueError("needs a nonempty proper subset")
-    target = xi2(A)
-    opt = sorted(optimal_differences(A), key=lambda d: (seminorm(d, q), d))
-    base = A.mask
-    shifts = shift_table(base, q)
-    for d1, d2 in combinations(opt, 2):
-        if (base | shifts[d1] | shifts[d2]).bit_count() == target:
-            return (d1, d2)
+    return _equal_impact_pair(A.mask, A.q)
+
+
+def _equal_impact_pair(mask: int, q: int) -> Optional[tuple[int, int]]:
+    """equal_impact_witnesses for the nonempty proper set with this mask:
+    the first pair of optimal differences, in (seminorm, d) order, whose
+    union with the set stays at xi(2) = |A| + min alpha."""
+    shifts = shift_table(mask, q)
+    # alpha_d = alpha_{q-d}, so walking d = 1 .. q/2 and taking d, then
+    # q - d, lists every optimal difference in (seminorm, d) order
+    alphas = [(shifts[d] & ~mask).bit_count() for d in range(1, q // 2 + 1)]
+    k = min(alphas)
+    opt = []
+    for d, a in enumerate(alphas, 1):
+        if a == k:
+            opt += (d, q - d) if 2 * d != q else (d,)
+    target = mask.bit_count() + k
+    for i, d1 in enumerate(opt):
+        m1 = mask | shifts[d1]
+        for d2 in opt[i + 1 :]:
+            if (m1 | shifts[d2]).bit_count() == target:
+                return (d1, d2)
     return None
 
 
@@ -273,41 +286,23 @@ class MuRecord:
     strategy: str
 
 
-def _equal_impact_mask(mask: int, p: int) -> bool:
-    """xi(2) == xi(3) for the set with this mask, via the optimal-difference
-    pair sweep."""
-    size = mask.bit_count()
-    shifts = shift_table(mask, p)
-    alphas = [(s & ~mask).bit_count() for s in shifts[1:]]
-    k = min(alphas)
-    target = size + k
-    opt = [d + 1 for d, a in enumerate(alphas) if a == k]
-    for i, d1 in enumerate(opt):
-        m1 = mask | shifts[d1]
-        for d2 in opt[i + 1 :]:
-            if (m1 | shifts[d2]).bit_count() == target:
-                return True
-    return False
+MU_FULL_BUDGET = 1 << 22  # most subsets the unreduced 'full' scan may test
 
 
-def compute_mu(p: int, strategy: str = "auto", budget: int = 1 << 22) -> MuRecord:
+def compute_mu(p: int, strategy: str = "bounded") -> MuRecord:
     """mu(p) = min |A| over proper subsets of Z_p with xi(2) = xi(3),
     with the minimal witnesses listed up to affine equivalence.
 
     strategy: 'bounded' scans cardinalities k upward until the first hit,
     testing one set per translation class: the binary necklaces of length
     p with k ones (core.necklaces); 'full' tests every subset of Z_p, as
-    the unreduced oracle, and needs 2^p within the budget; 'auto' is
-    'bounded'.  Both count in witness_count the minimal witnesses that
-    contain 0.
+    the unreduced oracle, and needs 2^p <= MU_FULL_BUDGET.  Both count in
+    witness_count the minimal witnesses that contain 0.
     """
     if not (p >= 3 and next_prime(p) == p):
         raise ValueError("compute_mu needs an odd prime p")
-    if strategy == "auto":
-        strategy = "bounded"
-
     if strategy == "full":
-        if (1 << p) > budget:
+        if (1 << p) > MU_FULL_BUDGET:
             raise BudgetExceededError(f"2^{p} subsets exceed budget")
         mu = None
         witnesses = []
@@ -317,7 +312,7 @@ def compute_mu(p: int, strategy: str = "auto", budget: int = 1 << 22) -> MuRecor
                 continue
             if size < 2:
                 continue  # a single point has xi(2)=3 > xi(3) impossible; skip
-            if _equal_impact_mask(mask, p):
+            if _equal_impact_pair(mask, p) is not None:
                 if mu is None or size < mu:
                     mu = size
                     witnesses = [mask]
@@ -333,7 +328,7 @@ def compute_mu(p: int, strategy: str = "auto", budget: int = 1 << 22) -> MuRecor
             seen = 0
             for mask in necklaces(p, size):
                 seen += 1
-                if _equal_impact_mask(mask, p):
+                if _equal_impact_pair(mask, p) is not None:
                     witnesses.append(mask)
             if seen * p != math.comb(p, size):
                 raise AssertionError(f"{seen} necklaces do not cover the {size}-subsets of Z_{p}")
@@ -375,16 +370,11 @@ def compute_mu(p: int, strategy: str = "auto", budget: int = 1 << 22) -> MuRecor
     )
 
 
-def mu_density_table(p_list, strategy: str = "auto") -> list[dict]:
+def mu_density_table(p_list) -> list[dict]:
     """Rows (p, mu, mu/p) plus the limiting-ceiling context row."""
     rows = []
     for p in p_list:
-        try:
-            rec = compute_mu(p, strategy)
-            rows.append(
-                {"p": p, "mu": rec.mu, "ratio": rec.mu / p, "bounds_hold": rec.bounds_hold}
-            )
-        except BudgetExceededError as exc:
-            rows.append({"p": p, "error": str(exc)})
+        rec = compute_mu(p)
+        rows.append({"p": p, "mu": rec.mu, "ratio": rec.mu / p, "bounds_hold": rec.bounds_hold})
     rows.append({"note": "liminf mu(p)/p <= 5/18 (construction ceiling)", "ceiling": 5 / 18})
     return rows

@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 MAX_MODULUS = 1 << 20
@@ -388,6 +389,14 @@ def coset_runs(mask: int, t: int, q: int) -> tuple[list[int], list[tuple[int, ..
     return full_cosets, runs
 
 
+def coset_counts(mask: int, H: Subgroup) -> list[int]:
+    """|S ∩ (H+t)| for t = 0 .. q/|H| - 1, for the set S with this mask.
+    H+t is t + <q/|H|>, whose elements all lie below q since t < q/|H|,
+    so one right shift lines it up with H."""
+    h_mask = H.mask
+    return [(mask >> t & h_mask).bit_count() for t in range(H.generator)]
+
+
 def seminorm(x: int, q: int) -> int:
     """Distance from zero in Z_q: min(x mod q, q - x mod q)."""
     x %= q
@@ -473,7 +482,6 @@ class SubgroupLemmaReport:
     subgroup_order: int
     coset_bound_holds: bool
     subset_expansion_holds: bool
-    subset_expansion_exhaustive: bool
     gcd_bound_holds: bool
 
     @property
@@ -481,18 +489,12 @@ class SubgroupLemmaReport:
         return self.coset_bound_holds and self.subset_expansion_holds and self.gcd_bound_holds
 
 
-def subgroup_lemma_check(
-    A: ResidueSet,
-    H: Subgroup,
-    subset_samples: int = 200,
-    rng=None,
-) -> SubgroupLemmaReport:
+def subgroup_lemma_check(A: ResidueSet, H: Subgroup) -> SubgroupLemmaReport:
     """Check the three subgroup-intersection/expansion inequalities for a
     digital set A and a proper nontrivial subgroup H:
 
       (i)   p * |A ∩ (H+t)| <= min(m, |H|) for every coset,
-      (ii)  |A' + H| >= p * |A'| for nonempty A' ⊆ A (exhaustive when small,
-            sampled otherwise),
+      (ii)  |A' + H| >= p * |A'| for every nonempty A' ⊆ A,
       (iii) |A+H| >= gcd(m|H|, q) >= max(p*max(m,|H|), min(q, 4m/3 + |H|)),
 
     where p is the smallest prime factor of q.
@@ -509,49 +511,25 @@ def subgroup_lemma_check(
     m = A.size
     n = H.order
     p = smallest_prime_factor(q)
-    h_mask = H.mask
+    counts = sorted(coset_counts(A.mask, H), reverse=True)
+    coset_ok = p * counts[0] <= min(m, n)
 
-    cap = min(m, n)
-    coset_ok = True
-    occupied = 0
-    for t in range(q // n):
-        inter = (A.mask & shift_mask(h_mask, t, q)).bit_count()
-        if inter:
-            occupied += 1
-        if p * inter > cap:
-            coset_ok = False
-
-    # (ii): |A'+H| = |H| * (#cosets meeting A'); exhaustive for small m
-    elems = A.elements
-    exhaustive = m <= 12
-    if exhaustive:
-        subset_iter = range(1, 1 << m)
-    else:
-        import random
-
-        rng = rng or random.Random(0)
-        subset_iter = (rng.randrange(1, 1 << m) for _ in range(subset_samples))
-    expansion_ok = True
-    for sub in subset_iter:
-        a_mask = 0
-        for i in range(m):
-            if sub >> i & 1:
-                a_mask |= 1 << elems[i]
-        cosets = sum(
-            1 for t in range(q // n) if a_mask & shift_mask(h_mask, t, q)
-        )
-        if n * cosets < p * a_mask.bit_count():
-            expansion_ok = False
-            break
+    # (ii) for every A' at once, with c_1 >= c_2 >= ... the counts of A:
+    # an A' meeting j cosets has |A'+H| = j|H| and |A'| <= c_1 + ... + c_j,
+    # so p(c_1 + ... + c_j) <= j|H| for every j implies (ii).  Conversely,
+    # if it fails at j, it fails at min(j, z) too (z = number of nonzero
+    # counts: past z the sum stops growing), and A' = A ∩ (the cosets of
+    # c_1 .. c_min(j,z)) meets exactly that many cosets and breaks (ii).
+    expansion_ok = all(p * top <= j * n for j, top in enumerate(accumulate(counts), 1))
 
     g = math.gcd(m * n, q)
-    a_plus_h = n * occupied
+    a_plus_h = n * sum(1 for c in counts if c)
     # the 4m/3 + |H| branch needs m >= 3: its proof splits on powers of 2
     # and uses m >= 3 in the base case; it is false for m = 2, q = 8,
     # |H| = 2 (gcd = 4 < 4m/3 + 2)
     lower_line_ok = m < 3 or 3 * g >= 4 * m + 3 * n or g >= q
     gcd_ok = a_plus_h >= g and g >= p * max(m, n) and lower_line_ok
-    return SubgroupLemmaReport(q, m, n, coset_ok, expansion_ok, exhaustive, gcd_ok)
+    return SubgroupLemmaReport(q, m, n, coset_ok, expansion_ok, gcd_ok)
 
 
 def crt_embed(A: ResidueSet, q2: int) -> ResidueSet:

@@ -249,19 +249,21 @@ class ImpactBoundReport:
         return not self.counterexamples
 
 
+IMPACT_WINDOW = (2, 3, 4)  # the n at which xi(n) > m + n is checked
+NAIVE_CROSS_CHECK_UPTO = 3  # xi_exact is also checked against xi_naive up to this n
+
+
 def verify_digital_impact_bound(
     m: int,
     q: int,
     samples: Optional[int] = None,
-    window: tuple[int, ...] = (2, 3, 4),
     seed: int = 0,
-    cross_check_naive_upto: int = 3,
     exploratory: bool = False,
 ) -> ImpactBoundReport:
     """For digital sets (sampled, or exhaustive when samples is None):
     every set that is not a union of at most two common-difference
-    progressions (min alpha >= 3) must satisfy xi(n) > m + n on the
-    window.
+    progressions (min alpha >= 3) must satisfy xi(n) > m + n for n in
+    IMPACT_WINDOW.
 
     Requires the prime condition; the literal claim also needs m > 15 —
     smaller m only in exploratory mode, where outcomes are reported but
@@ -289,12 +291,12 @@ def verify_digital_impact_bound(
             two_ap += 1  # excluded branch: xi(2) <= m+2 by the identity
             continue
         checked += 1
-        for n in window:
+        for n in IMPACT_WINDOW:
             if not 1 < n < q - m:
                 skipped.append({"set": list(A.elements), "n": n, "reason": "range"})
                 continue
             val = xi_exact(A, n)
-            if n <= cross_check_naive_upto and n >= 2:
+            if n <= NAIVE_CROSS_CHECK_UPTO:
                 naive = xi_naive(A, n).value
                 if naive != val:
                     raise AssertionError(
@@ -305,7 +307,7 @@ def verify_digital_impact_bound(
                     {"set": list(A.elements), "n": n, "xi": val}
                 )
     return ImpactBoundReport(
-        m, q, total, two_ap, checked, window, assertive, counterexamples, skipped
+        m, q, total, two_ap, checked, IMPACT_WINDOW, assertive, counterexamples, skipped
     )
 
 

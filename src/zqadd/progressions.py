@@ -12,6 +12,7 @@ from .core import (
     ResidueSet,
     Subgroup,
     affine_orbit,
+    coset_counts,
     coset_runs,
     interval,
     proper_nontrivial_subgroups,
@@ -102,24 +103,15 @@ def optimal_differences(A: ResidueSet) -> list[int]:
 def coset_density_ok(A: ResidueSet) -> bool:
     """True iff |A ∩ (H+t)| < |H|/2 for every proper nontrivial subgroup H
     and every coset."""
-    q = A.q
-    for H in proper_nontrivial_subgroups(q):
-        h_mask = H.mask
-        for t in range(q // H.order):
-            if 2 * (A.mask & shift_mask(h_mask, t, q)).bit_count() >= H.order:
-                return False
-    return True
+    return all(2 * max(coset_counts(A.mask, H)) < H.order for H in proper_nontrivial_subgroups(A.q))
 
 
 def contained_in_coset(A: ResidueSet) -> Optional[Subgroup]:
-    """A proper nontrivial subgroup H with A inside a single coset of H,
-    if one exists."""
-    q = A.q
-    for H in sorted(proper_nontrivial_subgroups(q), key=lambda s: -s.order):
-        h_mask = H.mask
-        for t in range(q // H.order):
-            if A.mask & ~shift_mask(h_mask, t, q) == 0:
-                return H
+    """The largest proper nontrivial subgroup H with A inside a single coset
+    of H, if one exists."""
+    for H in reversed(proper_nontrivial_subgroups(A.q)):
+        if max(coset_counts(A.mask, H)) == A.size:
+            return H
     return None
 
 

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from zqadd import chains
-from zqadd.core import ResidueSet, interval, necklaces, sumset
+from zqadd.core import BudgetExceededError, ResidueSet, interval, necklaces, sumset
 from zqadd.chains import (
     build_construction,
     compute_mu,
@@ -43,6 +43,28 @@ class TestEqualImpactWitnesses:
                 assert xi_exact(A, 3) == target
                 for pair in ([0, d1], [0, d2], [d1, d2]):
                     assert sumset(A, S(p, pair)).size == target
+        assert found > 0
+
+    def test_matches_the_sorted_pair_oracle(self):
+        # the oracle: optimal differences sorted by (seminorm, d), then the
+        # first pair in combinations order that keeps |A + {0, d1, d2}| at xi(2)
+        found = 0
+        for q in range(2, 12):
+            for mask in range(1, (1 << q) - 1):
+                A = set(ResidueSet(q, mask))
+                sizes = {d: len(A | {(a + d) % q for a in A}) for d in range(1, q)}
+                target = min(sizes.values())
+                opt = sorted((d for d in sizes if sizes[d] == target), key=lambda d: (min(d, q - d), d))
+                expect = next(
+                    (
+                        (d1, d2)
+                        for d1, d2 in itertools.combinations(opt, 2)
+                        if len(A | {(a + d) % q for a in A for d in (d1, d2)}) == target
+                    ),
+                    None,
+                )
+                assert equal_impact_witnesses(ResidueSet(q, mask)) == expect, (q, sorted(A))
+                found += expect is not None
         assert found > 0
 
 
@@ -135,7 +157,7 @@ class TestMu:
         zero_in = sum(
             1
             for mask in range(1 << 13)
-            if mask & 1 and mask.bit_count() == rec.mu and chains._equal_impact_mask(mask, 13)
+            if mask & 1 and mask.bit_count() == rec.mu and chains._equal_impact_pair(mask, 13) is not None
         )
         assert rec.witness_count == zero_in == 28
 
@@ -161,6 +183,14 @@ class TestMu:
         for w in rec.witnesses_up_to_affine:
             assert w == tuple(sorted(w))
             assert w[0] == 0
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            compute_mu(7, "auto")
+
+    def test_full_scan_over_budget(self):
+        with pytest.raises(BudgetExceededError):
+            compute_mu(23, "full")
 
     def test_composite_rejected(self):
         with pytest.raises(ValueError):

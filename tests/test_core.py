@@ -5,12 +5,15 @@ import random
 
 import pytest
 
+from zqadd import core
 from zqadd.core import (
     ModulusMismatchError,
     ResidueSet,
     Subgroup,
     affine_orbit,
+    coset_counts,
     coset_runs,
+    divisors,
     crt_embed,
     format_set,
     interval,
@@ -181,6 +184,36 @@ class TestSubgroupLemma:
         with pytest.raises(ValueError):
             subgroup_lemma_check(S(8, [0, 3]), Subgroup(8, 8))
 
+    def test_flags_match_the_every_subset_oracle(self, monkeypatch):
+        # the oracle: (ii) over every nonempty A' ⊆ A, and (i) and |A+H| by
+        # set arithmetic; p is patched so that (i) and (ii) also fail
+        seen = set()
+        cases = [(2, 4), (2, 8), (4, 8), (3, 9), (2, 16), (4, 16), (8, 16), (5, 25), (3, 27)]
+        for m, q, w in ((m, q, w) for m, q in cases for w in enumerate_digital_sets(m, q)):
+            A = w.set
+            for H in proper_nontrivial_subgroups(q):
+                n, h = H.order, H.mask
+                cosets = [set(A.elements) & {(t + x) % q for x in H.as_set()} for t in range(q // n)]
+                a_plus_h = len({(a + x) % q for a in A for x in H.as_set()})
+                g = math.gcd(m * n, q)
+                expansion = set()  # (|A'+H|, |A'|) over every nonempty A'
+                for sub in range(1, 1 << m):
+                    a_mask = sum(1 << e for i, e in enumerate(A.elements) if sub >> i & 1)
+                    met = sum(1 for t in range(q // n) if a_mask & shift_mask(h, t, q))
+                    expansion.add((n * met, a_mask.bit_count()))
+                for p in (2, 3, 5):
+                    monkeypatch.setattr(core, "smallest_prime_factor", lambda _, p=p: p)
+                    expect = (
+                        all(p * len(c) <= min(m, n) for c in cosets),
+                        all(size_h >= p * size for size_h, size in expansion),
+                        a_plus_h >= g >= p * max(m, n) and (m < 3 or 3 * g >= 4 * m + 3 * n or g >= q),
+                    )
+                    rep = subgroup_lemma_check(A, H)
+                    got = (rep.coset_bound_holds, rep.subset_expansion_holds, rep.gcd_bound_holds)
+                    assert got == expect, (p, A, H)
+                    seen.update(enumerate(expect))
+        assert seen == {(i, ok) for i in range(3) for ok in (True, False)}
+
 
 class TestNumberTheory:
     def test_next_prime(self):
@@ -249,6 +282,15 @@ class TestKernels:
         S_mask = sum(1 << x for x in (0, 4, 8, 5, 9, 2, 10))
         assert coset_runs(S_mask, 4, 12) == ([0], [(5, 9), (10, 2)])
         assert coset_runs(S_mask, 8, 12) == ([0], [(9, 5), (2, 10)])
+
+    def test_coset_counts_every_mask(self):
+        for q in range(1, 13):
+            for H in (Subgroup(q, n) for n in divisors(q)):
+                h = set(H.as_set())
+                for mask in range(1 << q):
+                    elems = elements_of(mask, q)
+                    expect = [len(elems & {(t + x) % q for x in h}) for t in range(q // H.order)]
+                    assert coset_counts(mask, H) == expect
 
 
 def euler_phi(n):

@@ -1,11 +1,15 @@
 """Static checks on the package sources."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "zqadd"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "zqadd"
+# where a definition of the package may be named
+SEARCHED = ("src", "tests", "demos", "perfbench")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,3 +37,27 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
 def test_no_unused_top_level_imports(path):
     assert unused_imports((SRC / path).read_text()) == []
+
+
+def unused_definitions(modules: dict[str, str], text: str) -> list[str]:
+    """Top-level functions and classes of the modules (name -> source) that
+    text, which holds the modules too, names only at their definition."""
+    out = []
+    for path, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if len(re.findall(rf"\b{node.name}\b", text)) == 1:
+                    out.append(f"{path}:{node.lineno}: {node.name}")
+    return out
+
+
+def test_checker_finds_an_unused_definition():
+    source = "def used():\n    pass\n\n\ndef unused():\n    pass\n\n\nclass Kept:\n    pass\n"
+    caller = "used()\nKept()\nunused_too = 1\n"
+    assert unused_definitions({"m.py": source}, source + caller) == ["m.py:5: unused"]
+
+
+def test_no_unused_top_level_definitions():
+    text = "\n".join(p.read_text() for d in SEARCHED for p in sorted((ROOT / d).rglob("*.py")))
+    modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unused_definitions(modules, text) == []

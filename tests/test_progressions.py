@@ -181,3 +181,16 @@ class TestCosetContainment:
 
     def test_prime_modulus_never_contained(self):
         assert contained_in_coset(S(13, [0, 1, 5])) is None
+
+    def test_coset_predicates_every_mask(self):
+        for q in range(1, 13):
+            # proper nontrivial subgroups, largest first
+            subgroups = [set(range(0, q, q // n)) for n in range(q - 1, 1, -1) if q % n == 0]
+            for mask in range(1 << q):
+                A = ResidueSet(q, mask)
+                meets = [[len(set(A) & {(t + h) % q for h in H}) for t in range(q)] for H in subgroups]
+                dense = any(2 * c >= len(H) for H, cs in zip(subgroups, meets) for c in cs)
+                assert coset_density_ok(A) == (not dense)
+                inside = [len(H) for H, cs in zip(subgroups, meets) if A.size in cs]
+                got = contained_in_coset(A)
+                assert (got.order if got else None) == next(iter(inside), None)

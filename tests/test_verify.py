@@ -124,6 +124,44 @@ def test_planted_translation_invariant_fault_is_reported(monkeypatch):
     assert partners == {rep for rep, _ in translation_classes(q)}
 
 
+def violation_classes(bad, q):
+    """Each violation as (inequality, class of A, class of B): a Kneser pair
+    is unordered, a Sidon pair keeps B as the Sidon set."""
+    out = set()
+    for c in bad:
+        a, b = (least_rotation(sum(1 << x for x in c[side]), q) for side in ("A", "B"))
+        if c["inequality"] == "kneser":
+            a, b = sorted((a, b))
+        out.add((c["inequality"], a, b))
+    return out
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+def test_reduced_sweep_verdicts_match_the_unreduced_sweep(q, monkeypatch):
+    # translation-invariant planted faults: Kneser fails when |A+B| = |A|+|B|-1,
+    # the Sidon bound when |A+B| is odd
+    def kneser(A, B):
+        rep = kneser_check(A, B)
+        return dataclasses.replace(rep, holds=rep.lhs != A.size + B.size - 1)
+
+    def sidon_bound(A, B):
+        rep = sidon_sumset_bound_check(A, B)
+        return dataclasses.replace(rep, holds=rep.sumset_size % 2 == 0)
+
+    monkeypatch.setattr(verify, "kneser_check", kneser)
+    monkeypatch.setattr(verify, "sidon_sumset_bound_check", sidon_bound)
+    top = 1 << q
+    raw = [
+        c
+        for a in range(1, top)
+        for b in range(a, top)
+        for c in verify._inequality_instance(ResidueSet(q, a), ResidueSet(q, b))
+    ]
+    expected = violation_classes(raw, q)
+    assert expected
+    assert violation_classes(full_sweep(q)[2], q) == expected
+
+
 def test_report_counts_checks_and_covered_pairs():
     report = verify.suite_sumset_inequalities(RunConfig(seed=1, profile="smoke"))
     scale = verify._SCALE["smoke"]
@@ -156,7 +194,7 @@ def test_inexact_pluennecke_is_skipped_not_counted(monkeypatch):
 
 @pytest.mark.parametrize("field", ["mu", "witness_count", "witnesses_up_to_affine"])
 def test_mu_suite_reports_a_strategy_mismatch(field, monkeypatch):
-    def skewed(p, strategy="auto"):
+    def skewed(p, strategy="bounded"):
         rec = compute_mu(p, strategy)
         if strategy != "bounded":
             return rec
