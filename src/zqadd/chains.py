@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import (
     BudgetExceededError,
@@ -289,15 +289,55 @@ class MuRecord:
 MU_FULL_BUDGET = 1 << 22  # most subsets the unreduced 'full' scan may test
 
 
+def _normalized_witness_test(q: int) -> Callable[[int], bool]:
+    """A test on masks of Z_q that passes A exactly when 1 is an optimal
+    difference of A and A + d lies in A ∪ (A+1) for some d outside {0, 1}.
+
+    Such an A has xi(3) <= |A ∪ (A+1) ∪ (A+d)| = |A| + alpha_1 = xi(2).
+    Every witness has optimal d1 != d2 with A + d2 inside A ∪ (A+d1), as
+    |A ∪ (A+d1) ∪ (A+d2)| = |A| + min alpha, so for q prime its dilate by
+    1/d1 passes: every affine class of witnesses has a member that passes.
+
+    Step (a) asks whether A + d misses gap = Z_q minus A ∪ (A+1) for some
+    d; nearly every set fails it.  It tests all q - 2 shifts in one
+    product: slot s (w = 2q bits) of doubled * spread holds A ∪ (A+q)
+    shifted up by s*w, slot s of gap * stagger holds gap shifted up by
+    s*w + s, so slot s of their AND is nonzero exactly when A + (q-s)
+    meets gap.  Its value is below 2^(s+q) <= 2^(w-2), so adding
+    2^(w-1) - 1 sets its top bit exactly when it is nonzero, with no
+    carry.  Step (b) checks alpha_d >= alpha_1 for d = 2 .. q//2.
+    """
+    w = 2 * q
+    slots = range(1, q - 1)
+    spread = sum(1 << s * w for s in slots)
+    stagger = sum(1 << s * (w + 1) for s in slots)
+    tops = spread << (w - 1)
+    fill = tops - spread  # 2^(w-1) - 1 in every slot
+    full = (1 << q) - 1
+
+    def test(mask: int) -> bool:
+        doubled = mask | mask << q
+        gap = full & ~(mask | doubled >> (q - 1))
+        if ((doubled * spread & gap * stagger) + fill) & tops == tops:
+            return False
+        r = q - mask.bit_count() - gap.bit_count()  # alpha_1
+        comp = full ^ mask
+        # doubled >> s is A + (q - s); alpha_d = alpha_{q-d}
+        return all((doubled >> s & comp).bit_count() >= r for s in range(q - q // 2, q - 1))
+
+    return test
+
+
 def compute_mu(p: int, strategy: str = "bounded") -> MuRecord:
     """mu(p) = min |A| over proper subsets of Z_p with xi(2) = xi(3),
     with the minimal witnesses listed up to affine equivalence.
 
     strategy: 'bounded' scans cardinalities k upward until the first hit,
-    testing one set per translation class: the binary necklaces of length
-    p with k ones (core.necklaces); 'full' tests every subset of Z_p, as
-    the unreduced oracle, and needs 2^p <= MU_FULL_BUDGET.  Both count in
-    witness_count the minimal witnesses that contain 0.
+    testing one set per translation class, the binary necklaces of length
+    p with k ones (core.necklaces), with _normalized_witness_test; 'full'
+    tests every subset of Z_p with _equal_impact_pair, as the unreduced
+    oracle, and needs 2^p <= MU_FULL_BUDGET.  Both count in witness_count
+    the minimal witnesses that contain 0.
     """
     if not (p >= 3 and next_prime(p) == p):
         raise ValueError("compute_mu needs an odd prime p")
@@ -321,14 +361,16 @@ def compute_mu(p: int, strategy: str = "bounded") -> MuRecord:
         if mu is None:
             raise AssertionError("no witness found; mu(p) <= p-1 always holds")
         witness_count = sum(mask & 1 for mask in witnesses)
+        classes = _affine_classes(witnesses, p)
     elif strategy == "bounded":
+        test = _normalized_witness_test(p)
         mu = None
         witnesses = []
         for size in range(2, p):
             seen = 0
             for mask in necklaces(p, size):
                 seen += 1
-                if _equal_impact_pair(mask, p) is not None:
+                if test(mask):
                     witnesses.append(mask)
             if seen * p != math.comb(p, size):
                 raise AssertionError(f"{seen} necklaces do not cover the {size}-subsets of Z_{p}")
@@ -337,22 +379,20 @@ def compute_mu(p: int, strategy: str = "bounded") -> MuRecord:
                 break
         if mu is None:
             raise AssertionError("no witness found below p")
+        classes = _affine_classes(witnesses, p)
         # xi(2) = xi(3) is translation invariant, and with p prime and
         # 0 < mu < p each class {A+x} has p distinct members (its period
         # group is a proper subgroup of Z_p, so trivial), of which exactly
-        # mu contain 0: the A+x with -x in A
-        witness_count = mu * len(witnesses)
+        # mu contain 0: the A+x with -x in A.  xi(2) = xi(3) is affine
+        # invariant too, so the witnesses of size mu are the affine classes
+        # met by the passing necklaces, and a class with N distinct images
+        # holds N/p translation classes (N/p < p - 1 when some dilation
+        # fixes a translate of A)
+        witness_count = mu * sum(classes.values()) // p
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    # the canonical form of a witness: its affine image whose sorted
-    # element tuple is lexicographically least
-    canon = sorted(
-        {
-            min(ResidueSet(p, img).elements for img, _, _ in affine_orbit(mk, p))
-            for mk in witnesses
-        }
-    )
+    canon = sorted(classes)
     sqrt_bound = math.sqrt(8 * p + 25) - 5
     log4_bound = math.log(p, 4)
     applicable = mu < 2 * p / 3
@@ -368,6 +408,17 @@ def compute_mu(p: int, strategy: str = "bounded") -> MuRecord:
         holds,
         strategy,
     )
+
+
+def _affine_classes(witnesses: list[int], p: int) -> dict[tuple[int, ...], int]:
+    """The affine classes met by these masks of Z_p, each as its canonical
+    form (the image whose sorted element tuple is lexicographically least)
+    mapped to its number of distinct images."""
+    classes: dict[tuple[int, ...], int] = {}
+    for mk in witnesses:
+        images = {img for img, _, _ in affine_orbit(mk, p)}
+        classes.setdefault(min(ResidueSet(p, img).elements for img in images), len(images))
+    return classes
 
 
 def mu_density_table(p_list) -> list[dict]:

@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, *, needs_set=False, needs_q=False, seed=False, workers=False):
+    def common(p, *, needs_set=False, needs_q=False, seed=False, workers=False, tabular=False):
         if needs_set or needs_q:
             p.add_argument("--q", type=int, required=needs_q)
         if needs_set:
@@ -97,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0)
         if workers:
             p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--format", choices=("json-lines", "csv", "pretty"), default="json-lines")
+        formats = ("json-lines", "csv", "pretty") if tabular else ("json-lines", "pretty")
+        p.add_argument("--format", choices=formats, default="json-lines")
 
     p = sub.add_parser("xi", help="impact function value xi_A(n)")
     common(p, needs_set=True)
@@ -105,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET)
 
     p = sub.add_parser("alpha", help="alpha_t(A) or the full profile")
-    common(p, needs_set=True)
+    common(p, needs_set=True, tabular=True)
     p.add_argument("--d1", type=int, help="difference t; omit for the full profile")
 
     p = sub.add_parser("decomp", help="AP decomposition for a difference")
@@ -123,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     dp = dsub.add_parser("check", help="digital-set predicate and prime condition")
     common(dp, needs_set=True)
     dp = dsub.add_parser("enumerate", help="list all digital sets for (m, q)")
-    common(dp, needs_q=True)
+    common(dp, needs_q=True, tabular=True)
     dp.add_argument("--m", type=int, required=True)
     dp = dsub.add_parser("carries", help="carry statistics of a digit set (q = m^2)")
     common(dp, needs_set=True)
@@ -182,11 +183,11 @@ def _cmd_xi(args) -> int:
 def _cmd_alpha(args) -> int:
     A = _parse_set_arg(args.set, args.q)
     if args.d1 is not None:
-        _emit({**_set_fields(A), "t": args.d1, "alpha": alpha(A, args.d1)}, args.format)
+        rows = [{**_set_fields(A), "t": args.d1, "alpha": alpha(A, args.d1)}]
     else:
         prof = alpha_profile(A)
         rows = [{"q": A.q, "t": t, "alpha": a} for t, a in sorted(prof.items())]
-        _emit_rows(rows, args.format)
+    _emit_rows(rows, args.format)
     return EXIT_OK
 
 

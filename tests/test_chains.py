@@ -3,9 +3,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zqadd import chains
-from zqadd.core import BudgetExceededError, ResidueSet, interval, necklaces, sumset
+from zqadd.core import BudgetExceededError, ResidueSet, affine_orbit, interval, necklaces, sumset, units
 from zqadd.chains import (
     build_construction,
     compute_mu,
@@ -133,13 +135,73 @@ class TestConstruction:
         assert A.size == p - spec.size
 
 
+@st.composite
+def affine_image(draw):
+    q = draw(st.sampled_from([7, 11, 12, 13, 15, 16]))
+    mask = draw(st.integers(1, (1 << q) - 2))
+    c, s = draw(st.sampled_from(units(q))), draw(st.integers(0, q - 1))
+    image = sum(1 << (c * x + s) % q for x in range(q) if mask >> x & 1)
+    return q, mask, image
+
+
+@settings(max_examples=300, deadline=None)
+@given(affine_image())
+def test_equal_impact_is_affine_invariant(case):
+    # the fact the normalized mu scan rests on: x -> cx + s maps A + B onto
+    # (cA + s) + cB, so xi(2) = xi(3) holds for A exactly when for cA + s
+    q, mask, image = case
+    assert (chains._equal_impact_pair(mask, q) is None) == (chains._equal_impact_pair(image, q) is None)
+
+
+def _affine_key(mask, p):
+    return min(img for img, _, _ in affine_orbit(mask, p))
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_normalized_test_meets_every_witness_class(p):
+    # at every size, not only at mu: the test passes exactly the sets in
+    # which 1 is optimal and some A + d, d outside {0, 1}, lies inside
+    # A ∪ (A+1); each of them is a witness; and the necklaces it passes
+    # meet the same affine classes as all witnesses of that size
+    test = chains._normalized_witness_test(p)
+    for k in range(2, p):
+        passed = []
+        for mask in necklaces(p, k):
+            A = set(ResidueSet(p, mask))
+            alphas = {d: len({(a + d) % p for a in A} - A) for d in range(1, p)}
+            union = A | {(a + 1) % p for a in A}
+            expect = alphas[1] == min(alphas.values()) and any(
+                {(a + d) % p for a in A} <= union for d in range(2, p)
+            )
+            assert test(mask) == expect, (p, sorted(A))
+            if expect:
+                assert chains._equal_impact_pair(mask, p) is not None, (p, sorted(A))
+                passed.append(mask)
+        witnesses = [
+            mask
+            for mask in range(1, 1 << p)
+            if mask.bit_count() == k and chains._equal_impact_pair(mask, p) is not None
+        ]
+        assert {_affine_key(m, p) for m in passed} == {_affine_key(m, p) for m in witnesses}, (p, k)
+
+
 class TestMu:
-    VALUES = {5: 4, 7: 4, 11: 8, 13: 7, 17: 10, 19: 9}
+    # p -> (mu, witness_count, affine classes).  At p = 13 and 19 the
+    # witness class is fixed by a dilation of order 3 (composed with a
+    # translation): it holds 4 and 6 translation classes, not p - 1
+    VALUES = {
+        5: (4, 4, 1),
+        7: (4, 8, 1),
+        11: (8, 80, 1),
+        13: (7, 28, 1),
+        17: (10, 160, 1),
+        19: (9, 54, 1),
+    }
 
     @pytest.mark.parametrize("p", sorted(VALUES))
     def test_frozen_values(self, p):
         rec = compute_mu(p)
-        assert rec.mu == self.VALUES[p]
+        assert (rec.mu, rec.witness_count, len(rec.witnesses_up_to_affine)) == self.VALUES[p]
         assert rec.bounds_hold
         assert rec.strategy == "bounded"
 

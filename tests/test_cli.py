@@ -97,6 +97,34 @@ class TestFormats:
         assert lines[0] == "alpha,q,t"
         assert len(lines) == 10  # header + 9 differences
 
+    def test_alpha_one_difference_csv(self, capsys):
+        code, out, _ = run(
+            capsys, "alpha", "--q", "10", "--set", "0,1,2,5,6", "--d1", "3", "--format", "csv"
+        )
+        assert code == EXIT_OK
+        assert out.strip().splitlines() == ["alpha,elements,q,t", '4,"[0, 1, 2, 5, 6]",10,3']
+
+    def test_digital_enumerate_csv(self, capsys):
+        code, out, _ = run(capsys, "digital", "enumerate", "--q", "4", "--m", "2", "--format", "csv")
+        assert code == EXIT_OK
+        lines = out.strip().splitlines()
+        assert lines[0] == "elements,m,q" and len(lines) == 5
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("mu", "--p", "11"),
+            ("xi", "--q", "7", "--set", "0,1,3", "--n", "2"),
+            ("construct", "--m", "3"),
+            ("digital", "check", "--q", "8", "--set", "0,3"),
+            ("verify", "mu", "--profile", "smoke"),
+            ("verify-all", "--profile", "smoke"),
+        ],
+    )
+    def test_csv_only_on_tabular_commands(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert code == EXIT_ERROR and out == "" and "invalid choice" in err
+
     def test_pretty(self, capsys):
         code, out, _ = run(
             capsys, "mu", "--p", "5", "--format", "pretty"
