@@ -10,7 +10,7 @@ from zqadd.chains import (
     construction_chain_family,
     project_to_prime,
 )
-from zqadd.impact import xi2, xi_exact
+from zqadd.impact import xi_exact
 
 
 def main():
@@ -29,7 +29,7 @@ def main():
           f"{fam.run_count} gap runs, conditions hold: {fam.valid}")
     for i, chain in enumerate(fam.chains):
         print(f"  chain {i}: runs {[list(run) for run in chain]}")
-    print(f"xi(2) = {xi2(A)}, xi(3) = {xi_exact(A, 3)} "
+    print(f"xi(2) = {xi_exact(A, 2)}, xi(3) = {xi_exact(A, 3)} "
           f"(equality is the asymptotic target, not guaranteed at m = 3)")
 
 

@@ -16,7 +16,6 @@ from .core import (
     seminorm,
     set_from_json,
     set_to_json,
-    subgroup_lemma_check,
     sumset,
 )
 from .progressions import (
@@ -36,8 +35,6 @@ from .impact import (
     pluennecke_subset,
     range_bounds,
     sidon_check,
-    verify_impact_extension,
-    xi2,
     xi_exact,
     xi_naive,
     xi_search,
@@ -47,8 +44,10 @@ from .digital import (
     enumerate_digital_sets,
     is_digital,
     prime_condition,
+    subgroup_lemma_check,
     verify_carry_extremality,
     verify_digital_impact_bound,
+    verify_impact_extension,
     verify_small_doubling_classification,
 )
 from .chains import (

@@ -189,7 +189,6 @@ class ConstructionSpec:
     size: int
     closed_form_size: int
     density: float
-    disjoint: bool
 
 
 def _chain_intervals(length: int, offset: int, d: int) -> list[tuple[int, int]]:
@@ -222,23 +221,20 @@ def build_construction(m: int) -> ConstructionSpec:
             chains.append(tuple(_chain_intervals(length, offset, d)))
 
     intervals = sorted(iv for ch in chains for iv in ch)
-    disjoint = all(
-        intervals[i][1] < intervals[i + 1][0] for i in range(len(intervals) - 1)
-    )
+    if any(a[1] >= b[0] for a, b in zip(intervals, intervals[1:])):
+        raise AssertionError("construction intervals collide")
     size = sum(hi - lo + 1 for lo, hi in intervals)
     closed = d * (d - 1) // 2 + sum(
         (1 << (m + 1 - l - i)) * ((1 << (m + 1 - l - i)) - 1) // 2
         for l in range(1, m)
         for i in range(1, m - l + 1)
     )
-    if not disjoint:
-        raise AssertionError("construction intervals collide")
     lo = min(iv[0] for iv in intervals)
     hi = max(iv[1] for iv in intervals)
     if lo < 0 or hi > ground:
         raise AssertionError("construction leaves the ground interval")
     return ConstructionSpec(
-        m, d, ground, tuple(chains), size, closed, size / ground, disjoint
+        m, d, ground, tuple(chains), size, closed, size / ground
     )
 
 
@@ -257,13 +253,10 @@ def project_to_prime(spec: ConstructionSpec) -> tuple[int, ResidueSet]:
     return p, image.complement()
 
 
-def construction_chain_family(
-    spec: ConstructionSpec, p: int, A: ResidueSet, k_bound: Optional[int] = None
-) -> ChainFamily:
+def construction_chain_family(spec: ConstructionSpec, p: int, A: ResidueSet) -> ChainFamily:
     """The chain family of the projected construction: gap direction
-    d1 = 1, chain translation d2 = 2^m."""
-    if k_bound is None:
-        k_bound = sum(len(ch) for ch in spec.chains)
+    d1 = 1, chain translation d2 = 2^m, runs bounded by the interval count."""
+    k_bound = sum(len(ch) for ch in spec.chains)
     return extract_chain_structure(A, 1, spec.d % p, k_bound=k_bound)
 
 

@@ -172,7 +172,7 @@ def _cmd_xi(args) -> int:
         **_set_fields(A),
         "n": args.n,
         "value": res.value,
-        "witness": sorted(res.witness.elements) if res.witness is not None else None,
+        "witness": sorted(res.witness.elements),
         "exact": res.exact,
         "nodes_explored": res.nodes_explored,
     }

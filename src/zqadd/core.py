@@ -11,7 +11,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from typing import Iterable, Iterator
 
 MAX_MODULUS = 1 << 20
@@ -473,63 +472,6 @@ def normalize_difference(a: int, q: int) -> NormalizedDifference:
     a2 = value // a1
     assert q % a1 == 0 and math.gcd(a2, q) == 1 and value % q == a % q
     return NormalizedDifference(a, q, value, a1, a2)
-
-
-@dataclass(frozen=True)
-class SubgroupLemmaReport:
-    q: int
-    m: int
-    subgroup_order: int
-    coset_bound_holds: bool
-    subset_expansion_holds: bool
-    gcd_bound_holds: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.coset_bound_holds and self.subset_expansion_holds and self.gcd_bound_holds
-
-
-def subgroup_lemma_check(A: ResidueSet, H: Subgroup) -> SubgroupLemmaReport:
-    """Check the three subgroup-intersection/expansion inequalities for a
-    digital set A and a proper nontrivial subgroup H:
-
-      (i)   p * |A ∩ (H+t)| <= min(m, |H|) for every coset,
-      (ii)  |A' + H| >= p * |A'| for every nonempty A' ⊆ A,
-      (iii) |A+H| >= gcd(m|H|, q) >= max(p*max(m,|H|), min(q, 4m/3 + |H|)),
-
-    where p is the smallest prime factor of q.
-    """
-    from . import digital  # local import: digital depends on core
-
-    q = A.q
-    if H.q != q:
-        raise ModulusMismatchError("subgroup modulus differs from set modulus")
-    if H.is_trivial or H.is_full:
-        raise ValueError("subgroup must be proper and nontrivial")
-    if digital.is_digital(A) is None:
-        raise ValueError("subgroup_lemma_check requires a digital set")
-    m = A.size
-    n = H.order
-    p = smallest_prime_factor(q)
-    counts = sorted(coset_counts(A.mask, H), reverse=True)
-    coset_ok = p * counts[0] <= min(m, n)
-
-    # (ii) for every A' at once, with c_1 >= c_2 >= ... the counts of A:
-    # an A' meeting j cosets has |A'+H| = j|H| and |A'| <= c_1 + ... + c_j,
-    # so p(c_1 + ... + c_j) <= j|H| for every j implies (ii).  Conversely,
-    # if it fails at j, it fails at min(j, z) too (z = number of nonzero
-    # counts: past z the sum stops growing), and A' = A ∩ (the cosets of
-    # c_1 .. c_min(j,z)) meets exactly that many cosets and breaks (ii).
-    expansion_ok = all(p * top <= j * n for j, top in enumerate(accumulate(counts), 1))
-
-    g = math.gcd(m * n, q)
-    a_plus_h = n * sum(1 for c in counts if c)
-    # the 4m/3 + |H| branch needs m >= 3: its proof splits on powers of 2
-    # and uses m >= 3 in the base case; it is false for m = 2, q = 8,
-    # |H| = 2 (gcd = 4 < 4m/3 + 2)
-    lower_line_ok = m < 3 or 3 * g >= 4 * m + 3 * n or g >= q
-    gcd_ok = a_plus_h >= g and g >= p * max(m, n) and lower_line_ok
-    return SubgroupLemmaReport(q, m, n, coset_ok, expansion_ok, gcd_ok)
 
 
 def crt_embed(A: ResidueSet, q2: int) -> ResidueSet:

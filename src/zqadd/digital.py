@@ -1,25 +1,33 @@
 """Digital sets (complete residue systems mod m inside Z_q), base-m carry
-statistics, and the desk-scale verifiers for the two structure results
-about them: the impact lower bound and the small-doubling classification."""
+statistics, the subgroup lemma, and the desk-scale verifiers for the
+structure results about them: the impact lower bound, its extension from
+the hypothesis range, and the small-doubling classification."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterator, Optional
 
 from .core import (
     BudgetExceededError,
+    ModulusMismatchError,
     ResidueSet,
+    Subgroup,
     affine_orbit,
+    coset_counts,
     factorize,
     interval,
     shift_table,
+    smallest_prime_factor,
     sumset_mask,
 )
-from .impact import xi_exact, xi_naive
+from .impact import m_threshold, xi_exact, xi_naive
 from .progressions import min_alpha
+
+DIGITAL_SET_BUDGET = 5_000_000  # most digital sets one enumeration may yield
 
 
 @dataclass(frozen=True)
@@ -74,6 +82,61 @@ def prime_condition(m: int, q: int) -> PrimeConditionCheck:
 
 
 @dataclass(frozen=True)
+class SubgroupLemmaReport:
+    q: int
+    m: int
+    subgroup_order: int
+    coset_bound_holds: bool
+    subset_expansion_holds: bool
+    gcd_bound_holds: bool
+
+    @property
+    def holds(self) -> bool:
+        return self.coset_bound_holds and self.subset_expansion_holds and self.gcd_bound_holds
+
+
+def subgroup_lemma_check(A: ResidueSet, H: Subgroup) -> SubgroupLemmaReport:
+    """Check the three subgroup-intersection/expansion inequalities for a
+    digital set A and a proper nontrivial subgroup H:
+
+      (i)   p * |A ∩ (H+t)| <= min(m, |H|) for every coset,
+      (ii)  |A' + H| >= p * |A'| for every nonempty A' ⊆ A,
+      (iii) |A+H| >= gcd(m|H|, q) >= max(p*max(m,|H|), min(q, 4m/3 + |H|)),
+
+    where p is the smallest prime factor of q.
+    """
+    q = A.q
+    if H.q != q:
+        raise ModulusMismatchError("subgroup modulus differs from set modulus")
+    if H.is_trivial or H.is_full:
+        raise ValueError("subgroup must be proper and nontrivial")
+    if is_digital(A) is None:
+        raise ValueError("subgroup_lemma_check requires a digital set")
+    m = A.size
+    n = H.order
+    p = smallest_prime_factor(q)
+    counts = sorted(coset_counts(A.mask, H), reverse=True)
+    coset_ok = p * counts[0] <= min(m, n)
+
+    # (ii) for every A' at once, with c_1 >= c_2 >= ... the counts of A:
+    # an A' meeting j cosets has |A'+H| = j|H| and |A'| <= c_1 + ... + c_j,
+    # so p(c_1 + ... + c_j) <= j|H| for every j implies (ii).  Conversely,
+    # if it fails at j, it fails at min(j, z) too (z = number of nonzero
+    # counts: past z the sum stops growing), and A' = A ∩ (the cosets of
+    # c_1 .. c_min(j,z)) meets exactly that many cosets and breaks (ii).
+    expansion_ok = all(p * top <= j * n for j, top in enumerate(accumulate(counts), 1))
+
+    g = math.gcd(m * n, q)
+    a_plus_h = n * sum(1 for c in counts if c)
+    # the 4m/3 + |H| branch needs m >= 3: its proof splits on powers of 2
+    # and uses m >= 3 in the base case; it is false for m = 2, q = 8,
+    # |H| = 2 (gcd = 4 < 4m/3 + 2)
+    lower_line_ok = m < 3 or 3 * g >= 4 * m + 3 * n or g >= q
+    gcd_ok = a_plus_h >= g and g >= p * max(m, n) and lower_line_ok
+    return SubgroupLemmaReport(q, m, n, coset_ok, expansion_ok, gcd_ok)
+
+
+@dataclass(frozen=True)
 class CarryStats:
     digit_set: DigitalSetWitness
     distinct_carries: tuple[int, ...]
@@ -101,16 +164,14 @@ def carry_stats(w: DigitalSetWitness) -> CarryStats:
     return CarryStats(w, tuple(sorted(carries)), nonzero)
 
 
-def enumerate_digital_sets(
-    m: int, q: int, budget: int = 5_000_000
-) -> Iterator[DigitalSetWitness]:
+def enumerate_digital_sets(m: int, q: int) -> Iterator[DigitalSetWitness]:
     """All digital sets for (m, q), lexicographic in the chosen
     representatives; each residue class contributes one of its q/m lifts."""
     if m < 1 or q % m != 0:
         raise ValueError("digital sets need m | q")
     reps = q // m
-    if reps**m > budget:
-        raise BudgetExceededError(f"{reps}^{m} digital sets exceed budget {budget}")
+    if reps**m > DIGITAL_SET_BUDGET:
+        raise BudgetExceededError(f"{reps}^{m} digital sets exceed budget {DIGITAL_SET_BUDGET}")
     for choice in product(range(reps), repeat=m):
         elems = tuple(r + j * m for r, j in zip(range(m), choice))
         mask = 0
@@ -175,7 +236,7 @@ class CarryExtremalityReport:
         )
 
 
-def verify_carry_extremality(m: int, budget: int = 5_000_000) -> CarryExtremalityReport:
+def verify_carry_extremality(m: int) -> CarryExtremalityReport:
     """Exhaustive sweep of digital sets in Z_{m^2}: the interval digits
     minimize the number of distinct carries and the centered digits
     minimize the number of nonzero-carry pairs; minimizers are compared
@@ -186,7 +247,7 @@ def verify_carry_extremality(m: int, budget: int = 5_000_000) -> CarryExtremalit
     distinct_minimizers: list[int] = []
     nonzero_minimizers: list[int] = []
     count = 0
-    for w in enumerate_digital_sets(m, q, budget):
+    for w in enumerate_digital_sets(m, q):
         count += 1
         stats = carry_stats(w)
         dc = len(stats.distinct_carries)
@@ -240,13 +301,8 @@ class ImpactBoundReport:
     two_ap_sets: int
     checked_sets: int
     window: tuple[int, ...]
-    assertive: bool  # False in exploratory mode (m <= 15)
     counterexamples: list
     skipped: list
-
-    @property
-    def passed(self) -> bool:
-        return not self.counterexamples
 
 
 IMPACT_WINDOW = (2, 3, 4)  # the n at which xi(n) > m + n is checked
@@ -254,39 +310,25 @@ NAIVE_CROSS_CHECK_UPTO = 3  # xi_exact is also checked against xi_naive up to th
 
 
 def verify_digital_impact_bound(
-    m: int,
-    q: int,
-    samples: Optional[int] = None,
-    seed: int = 0,
-    exploratory: bool = False,
+    m: int, q: int, samples: int, seed: int = 0
 ) -> ImpactBoundReport:
-    """For digital sets (sampled, or exhaustive when samples is None):
-    every set that is not a union of at most two common-difference
-    progressions (min alpha >= 3) must satisfy xi(n) > m + n for n in
-    IMPACT_WINDOW.
+    """For sampled digital sets: every set that is not a union of at most
+    two common-difference progressions (min alpha >= 3) must satisfy
+    xi(n) > m + n for n in IMPACT_WINDOW.
 
-    Requires the prime condition; the literal claim also needs m > 15 —
-    smaller m only in exploratory mode, where outcomes are reported but
-    nothing is asserted.
+    Requires the prime condition and m > 15, as the claim does.
     """
     if not prime_condition(m, q).accepted:
         raise ValueError(f"(m={m}, q={q}) fails the prime condition")
-    assertive = m > 15
-    if not assertive and not exploratory:
-        raise ValueError("m <= 15 is outside the theorem; pass exploratory=True")
+    if m <= 15:
+        raise ValueError("m <= 15 is outside the theorem")
 
-    if samples is None:
-        sets = (w.set for w in enumerate_digital_sets(m, q))
-        total = count_digital_sets(m, q)
-    else:
-        rng = random.Random(seed)
-        sets = (sample_digital_set(m, q, rng) for _ in range(samples))
-        total = samples
-
+    rng = random.Random(seed)
     two_ap = checked = 0
     counterexamples = []
     skipped = []
-    for A in sets:
+    for _ in range(samples):
+        A = sample_digital_set(m, q, rng)
         if min_alpha(A) <= 2:
             two_ap += 1  # excluded branch: xi(2) <= m+2 by the identity
             continue
@@ -307,7 +349,7 @@ def verify_digital_impact_bound(
                     {"set": list(A.elements), "n": n, "xi": val}
                 )
     return ImpactBoundReport(
-        m, q, total, two_ap, checked, IMPACT_WINDOW, assertive, counterexamples, skipped
+        m, q, samples, two_ap, checked, IMPACT_WINDOW, counterexamples, skipped
     )
 
 
@@ -321,10 +363,6 @@ class SmallDoublingReport:
     all_affine_interval_images: bool
     literal_conclusion_note: str
 
-    @property
-    def passed(self) -> bool:
-        return self.all_affine_interval_images
-
 
 LITERAL_CONCLUSION_NOTE = (
     "the source states the normal form as cA+d = {0,1,...,q-1}, which has q "
@@ -333,9 +371,7 @@ LITERAL_CONCLUSION_NOTE = (
 )
 
 
-def verify_small_doubling_classification(
-    m: int, q: int, budget: int = 5_000_000
-) -> SmallDoublingReport:
+def verify_small_doubling_classification(m: int, q: int) -> SmallDoublingReport:
     """Exhaustively find digital sets with 2A ⊆ {x,y} + A for some x, y
     with {x,y} + A a proper subset of Z_q, and check each is an affine
     image of an interval of length m.
@@ -355,7 +391,7 @@ def verify_small_doubling_classification(
     cover_max = min(2 * m, q - 1)
     solutions = []
     scanned = survivors = 0
-    for w in enumerate_digital_sets(m, q, budget):
+    for w in enumerate_digital_sets(m, q):
         scanned += 1
         A = w.set
         aa = sumset_mask(A.mask, A.mask, q)
@@ -392,3 +428,70 @@ def _find_covering_pair(a_mask: int, aa: int, q: int) -> Optional[tuple[int, int
             if cover != full and aa & ~cover == 0:
                 return (x, y)
     return None
+
+
+# ---------------------------------------------------------------------------
+# sampled verification of the impact extension theorem
+
+
+@dataclass(frozen=True)
+class TheoremMainReport:
+    m: int
+    q: int
+    k: int
+    samples: int
+    hypothesis_holds: int
+    vacuous: int
+    checked: int
+    skipped: list
+    counterexamples: list
+
+
+def verify_impact_extension(
+    m: int,
+    q: int,
+    k: int,
+    samples: int,
+    window: tuple[int, ...] = (2, 3, 4, 5),
+    seed: int = 0,
+) -> TheoremMainReport:
+    """Sample digital sets and check: if xi(n) >= n+m+k holds on the short
+    hypothesis range 2 <= n <= (3+sqrt(16k+1))/2, it also holds on the
+    spot-check window inside [2, q-m-k-1]."""
+    pc = prime_condition(m, q)
+    if not pc.accepted:
+        raise ValueError(f"(m={m}, q={q}) fails the prime condition")
+    if m <= m_threshold(k):
+        raise ValueError(
+            f"m={m} not above threshold m_0({k}) = {m_threshold(k)}"
+        )
+    end = (3 + math.isqrt(16 * k + 1)) // 2  # floor((3 + sqrt(16k+1)) / 2), exactly
+    rng = random.Random(seed)
+    hyp_holds = vacuous = checked = 0
+    counterexamples = []
+    skipped = []
+    for _ in range(samples):
+        A = sample_digital_set(m, q, rng)
+        ok = True
+        for n in range(2, end + 1):
+            if xi_exact(A, n) < n + m + k:
+                ok = False
+                break
+        if not ok:
+            vacuous += 1
+            continue
+        hyp_holds += 1
+        for n in window:
+            if not 2 <= n <= q - m - k - 1:
+                continue
+            try:
+                val = xi_exact(A, n)
+            except BudgetExceededError:
+                skipped.append({"set": list(A.elements), "n": n, "reason": "budget"})
+                continue
+            checked += 1
+            if val < n + m + k:
+                counterexamples.append({"set": list(A.elements), "n": n, "xi": val})
+    return TheoremMainReport(
+        m, q, k, samples, hyp_holds, vacuous, checked, skipped, counterexamples
+    )

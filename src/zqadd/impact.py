@@ -18,10 +18,11 @@ from .core import (
     sumset,
     sumset_mask,
 )
-from .progressions import alpha_profile
 
-DEFAULT_NODE_BUDGET = 50_000_000
-PLUENNECKE_EXACT_CAP = 16
+# search budgets, read at call time so that tests can lower them
+DEFAULT_NODE_BUDGET = 50_000_000  # xi_search nodes, xi_naive combinations
+PLUENNECKE_EXACT_CAP = 16  # largest |A| of the exact Plünnecke search
+THRESHOLD_M_CAP = 100_000  # the m scanned for the range-bound thresholds
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ def _trivial_impact(A: ResidueSet, n: int) -> Optional[ImpactResult]:
     return None
 
 
-def xi_naive(A: ResidueSet, n: int, budget: int = DEFAULT_NODE_BUDGET) -> ImpactResult:
+def xi_naive(A: ResidueSet, n: int) -> ImpactResult:
     """Exhaustive minimum of |A+B| over all B with |B| = n and 0 in B.
 
     Fixing 0 in B loses nothing: |A + (B+t)| = |A+B|.  The witness is the
@@ -56,7 +57,7 @@ def xi_naive(A: ResidueSet, n: int, budget: int = DEFAULT_NODE_BUDGET) -> Impact
     if res is not None:
         return res
     q = A.q
-    if math.comb(q - 1, n - 1) > budget:
+    if math.comb(q - 1, n - 1) > DEFAULT_NODE_BUDGET:
         raise BudgetExceededError(
             f"xi_naive budget exceeded: C({q - 1},{n - 1}) combinations"
         )
@@ -96,14 +97,19 @@ def xi_search(
     |A + B_partial| >= incumbent (it only grows), B* is the first minimizer
     found.  A node is a pop or a scanned last element; when the node budget
     runs out the incumbent is returned with exact=False.
+
+    The budget is tested only once a leaf exists.  Before that the
+    incumbent is q + 1 and nothing is pruned, and lo <= hi on the path of
+    least candidates since n <= q, so the first leaf comes after n - 1
+    pops and one last-element scan: a cut result is always a leaf.
     """
     res = _trivial_impact(A, n)
     if res is not None:
         return res
     q = A.q
     shifts = shift_table(A.mask, q)
-    best = q + 1
-    best_elems: Optional[tuple[int, ...]] = None
+    best = q + 1  # every leaf beats it, so best <= q once a leaf exists
+    best_elems: tuple[int, ...] = ()
     nodes = 0
     exact = True
     need = n - 1
@@ -111,7 +117,7 @@ def xi_search(
     # iterative DFS: stack of (chosen = (0, b_1, .., b_t), period, partial_mask)
     stack = [((0,), 1, A.mask)]
     while stack:
-        if nodes >= node_budget:
+        if nodes >= node_budget and best <= q:
             exact = False
             break
         chosen, p, partial = stack.pop()
@@ -141,35 +147,13 @@ def xi_search(
             if child.bit_count() < best:
                 stack.append((chosen + (c,), p if c == lo else t + 1, child))
 
-    if best_elems is None:
-        # budget ran out before any leaf: fall back to the greedy witness
-        exact = False
-        chosen: list[int] = []
-        partial = A.mask
-        for _ in range(need):
-            c = min(
-                (c for c in range(1, q) if c not in chosen),
-                key=lambda c: ((partial | shifts[c]).bit_count(), c),
-            )
-            chosen.append(c)
-            partial |= shifts[c]
-        best = partial.bit_count()
-        best_elems = tuple(chosen)
     witness = ResidueSet.from_elements(q, (0,) + best_elems)
     return ImpactResult(n, best, witness, nodes, exact)
 
 
-def xi2(A: ResidueSet) -> int:
-    """xi_A(2) via the progression identity |A| + min_t alpha_t(A); for
-    A = Z_q, whose alpha profile is undefined, A + B = Z_q and xi_A(2) = q."""
-    if A.mask == (1 << A.q) - 1:
-        return A.q
-    return A.size + min(alpha_profile(A).values())
-
-
-def xi_exact(A: ResidueSet, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
+def xi_exact(A: ResidueSet, n: int) -> int:
     """xi_A(n) by xi_search; BudgetExceededError if the search is cut."""
-    res = xi_search(A, n, node_budget)
+    res = xi_search(A, n, DEFAULT_NODE_BUDGET)
     if not res.exact:
         raise BudgetExceededError(f"xi_search inexact at n={n}")
     return res.value
@@ -231,16 +215,11 @@ class PluenneckeReport:
         return self.ratio <= self.beta * self.beta
 
 
-def pluennecke_subset(
-    A: ResidueSet,
-    B: ResidueSet,
-    exact_cap: int = PLUENNECKE_EXACT_CAP,
-    rng: Optional[random.Random] = None,
-) -> PluenneckeReport:
+def pluennecke_subset(A: ResidueSet, B: ResidueSet) -> PluenneckeReport:
     """The nonempty A' ⊆ A minimizing |A' + 2B| / |A'|, compared against
     beta^2 with beta = |A+B|/|A|.
 
-    Exact when |A| <= exact_cap, by a branch-and-bound DFS over all
+    Exact when |A| <= PLUENNECKE_EXACT_CAP, by a branch-and-bound DFS over all
     subsets that returns the first minimizer in DFS order; randomized
     descent (exact=False) beyond.
     """
@@ -254,7 +233,7 @@ def pluennecke_subset(
     m = len(elems)
     shifts = [shift_mask(bb, a, q) for a in elems]
 
-    if m <= exact_cap:
+    if m <= PLUENNECKE_EXACT_CAP:
         # incumbent ratio bn/bd, compared by cross-multiplying; q+1 is
         # beaten by every nonempty subset, whose ratio is at most q
         bn, bd = q + 1, 1
@@ -278,7 +257,7 @@ def pluennecke_subset(
                 stack.append((j + 1, chosen | (1 << elems[j]), size + 1, union | shifts[j]))
         return PluenneckeReport(beta, ResidueSet(q, best_mask), Fraction(bn, bd), True)
 
-    rng = rng or random.Random(0)
+    rng = random.Random(0)
     current = list(range(m))
     best_ratio = _subset_ratio(current, shifts)
     best = list(current)
@@ -340,12 +319,12 @@ def _quadratic_root(a: int, b: int, c: int) -> float:
 _EPS = 1e-9
 
 
-def bound2_threshold(k: int, m_cap: int = 100_000) -> int:
+def bound2_threshold(k: int) -> int:
     """Smallest m for which bound2 has dropped to within one unit of the
     asymptotic endpoint (so the integer n it bounds cannot exceed the
     hypothesis range any more)."""
     end = (3 + math.sqrt(16 * k + 1)) / 2
-    for m in range(3, m_cap):
+    for m in range(3, THRESHOLD_M_CAP):
         if range_bounds(m, k).bound2 <= end + 1 + _EPS:
             return m
     raise RuntimeError("bound2 threshold not found below cap")
@@ -354,7 +333,7 @@ def bound2_threshold(k: int, m_cap: int = 100_000) -> int:
 _SQRT2 = math.sqrt(2)
 
 
-def beta_threshold(k: int, m_cap: int = 100_000) -> int:
+def beta_threshold(k: int) -> int:
     """Smallest m from which bound1 forces beta = (m+n+r)/m below sqrt(2)
     for every m' >= m (n integer, r <= k-1).
 
@@ -363,7 +342,7 @@ def beta_threshold(k: int, m_cap: int = 100_000) -> int:
     failure within the scan horizon (bound1 grows like sqrt(m), so the
     condition holds for all m beyond it)."""
     horizon = 4 * (k + 2) ** 2 + 100
-    if horizon >= m_cap:
+    if horizon >= THRESHOLD_M_CAP:
         raise ValueError("scan horizon exceeds cap")
     last_failure = None
     for m in range(3, horizon):
@@ -380,77 +359,3 @@ def beta_threshold(k: int, m_cap: int = 100_000) -> int:
 def m_threshold(k: int) -> int:
     """m_0(k): the smaller m for which both quadratic arguments apply."""
     return max(beta_threshold(k), bound2_threshold(k))
-
-
-# ---------------------------------------------------------------------------
-# sampled verification of the main impact bound
-
-
-@dataclass(frozen=True)
-class TheoremMainReport:
-    m: int
-    q: int
-    k: int
-    samples: int
-    hypothesis_holds: int
-    vacuous: int
-    checked: int
-    skipped: list
-    counterexamples: list
-
-    @property
-    def passed(self) -> bool:
-        return not self.counterexamples
-
-
-def verify_impact_extension(
-    m: int,
-    q: int,
-    k: int,
-    samples: int,
-    window: tuple[int, ...] = (2, 3, 4, 5),
-    seed: int = 0,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> TheoremMainReport:
-    """Sample digital sets and check: if xi(n) >= n+m+k holds on the short
-    hypothesis range 2 <= n <= (3+sqrt(16k+1))/2, it also holds on the
-    spot-check window inside [2, q-m-k-1]."""
-    from .digital import prime_condition, sample_digital_set
-
-    pc = prime_condition(m, q)
-    if not pc.accepted:
-        raise ValueError(f"(m={m}, q={q}) fails the prime condition")
-    if m <= m_threshold(k):
-        raise ValueError(
-            f"m={m} not above threshold m_0({k}) = {m_threshold(k)}"
-        )
-    end = math.floor((3 + math.sqrt(16 * k + 1)) / 2 + _EPS)
-    rng = random.Random(seed)
-    hyp_holds = vacuous = checked = 0
-    counterexamples = []
-    skipped = []
-    for _ in range(samples):
-        A = sample_digital_set(m, q, rng)
-        ok = True
-        for n in range(2, end + 1):
-            if xi_exact(A, n, node_budget) < n + m + k:
-                ok = False
-                break
-        if not ok:
-            vacuous += 1
-            continue
-        hyp_holds += 1
-        for n in window:
-            if not 2 <= n <= q - m - k - 1:
-                continue
-            try:
-                val = xi_exact(A, n, node_budget)
-            except BudgetExceededError:
-                skipped.append({"set": list(A.elements), "n": n, "reason": "budget"})
-                continue
-            checked += 1
-            if val < n + m + k:
-                counterexamples.append({"set": list(A.elements), "n": n, "xi": val})
-    return TheoremMainReport(
-        m, q, k, samples, hyp_holds, vacuous, checked, skipped, counterexamples
-    )

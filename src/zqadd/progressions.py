@@ -208,18 +208,18 @@ class StabilityReport:
         return self.status == "stable"
 
 
-def stability(
-    A: ResidueSet,
-    strict: bool = False,
-    budget: int = 2_000_000,
-) -> StabilityReport:
+STABILITY_BUDGET = 2_000_000  # most modifications of A that stability enumerates
+
+
+def stability(A: ResidueSet, strict: bool = False) -> StabilityReport:
     """Decide whether A has k stable components, k = min_t alpha_t(A).
 
     Enumerates every modification of A within the allowed distance and
     tests |(A~ + d) \\ A~| >= k for each optimal difference d.  By default
     the allowed modifications are all A~ with |A~ Δ A| <= k; with
     strict=True they are all A~ with at most k removals and at most k
-    additions (the looser alternative reading).
+    additions (the looser alternative reading).  Past STABILITY_BUDGET
+    modifications the status is indeterminate.
     """
     q = A.q
     k = min_alpha(A)
@@ -231,7 +231,7 @@ def stability(
         count = _binom_sum(len(inside), k) * _binom_sum(len(outside), k)
     else:
         count = _binom_sum(q, k)
-    if count > budget:
+    if count > STABILITY_BUDGET:
         return StabilityReport(A, k, opt, "indeterminate")
 
     for d in opt:

@@ -17,7 +17,7 @@ from zqadd.chains import (
     mu_density_table,
     project_to_prime,
 )
-from zqadd.impact import xi2, xi_exact
+from zqadd.impact import xi_exact
 
 
 def S(q, elems):
@@ -41,7 +41,7 @@ class TestEqualImpactWitnesses:
                     continue
                 found += 1
                 d1, d2 = w
-                target = xi2(A)
+                target = xi_exact(A, 2)
                 assert xi_exact(A, 3) == target
                 for pair in ([0, d1], [0, d2], [d1, d2]):
                     assert sumset(A, S(p, pair)).size == target
@@ -108,7 +108,6 @@ class TestConstruction:
         spec = build_construction(m)
         assert spec.size == self.SIZES[m]
         assert spec.size == spec.closed_form_size
-        assert spec.disjoint
 
     def test_m3_breakdown(self):
         # 28 from the long chain, then 6 + 1 + 1

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from zqadd import core
+from zqadd import digital
 from zqadd.core import (
     ModulusMismatchError,
     ResidueSet,
@@ -29,12 +29,11 @@ from zqadd.core import (
     set_to_json,
     shift_mask,
     shift_table,
-    subgroup_lemma_check,
     sumset,
     translation_classes,
     units,
 )
-from zqadd.digital import enumerate_digital_sets
+from zqadd.digital import enumerate_digital_sets, subgroup_lemma_check
 
 
 def S(q, elems):
@@ -202,7 +201,7 @@ class TestSubgroupLemma:
                     met = sum(1 for t in range(q // n) if a_mask & shift_mask(h, t, q))
                     expansion.add((n * met, a_mask.bit_count()))
                 for p in (2, 3, 5):
-                    monkeypatch.setattr(core, "smallest_prime_factor", lambda _, p=p: p)
+                    monkeypatch.setattr(digital, "smallest_prime_factor", lambda _, p=p: p)
                     expect = (
                         all(p * len(c) <= min(m, n) for c in cosets),
                         all(size_h >= p * size for size_h, size in expansion),

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from zqadd.core import ResidueSet, interval, sumset_mask
+from zqadd import digital
+from zqadd.core import BudgetExceededError, ResidueSet, interval, sumset_mask
 from zqadd.digital import (
     _find_covering_pair,
     canonical_interval_digits,
@@ -134,8 +135,9 @@ class TestImpactBound:
         assert rep.two_ap_sets >= 1
 
     def test_exploratory_below_guard(self):
-        rep = verify_digital_impact_bound(6, 36, samples=30, seed=43, exploratory=True)
-        assert not rep.assertive
+        # m <= 15 lies outside the theorem, and there is no mode that runs it
+        with pytest.raises(ValueError, match="m <= 15"):
+            verify_digital_impact_bound(6, 36, samples=30, seed=43)
 
 
 class TestSmallDoubling:
@@ -195,3 +197,16 @@ class TestSmallDoubling:
         rep = verify_small_doubling_classification(m, q)
         assert rep.sets_scanned == (q // m) ** m
         assert rep.solutions == expected
+
+
+def test_one_budget_bounds_every_digital_sweep(monkeypatch):
+    m, q = 4, 16  # 4^4 = 256 digital sets; q = m^2 for the carry sweep
+    monkeypatch.setattr(digital, "DIGITAL_SET_BUDGET", count_digital_sets(m, q))
+    assert len(list(enumerate_digital_sets(m, q))) == count_digital_sets(m, q)
+    monkeypatch.setattr(digital, "DIGITAL_SET_BUDGET", count_digital_sets(m, q) - 1)
+    with pytest.raises(BudgetExceededError):
+        next(enumerate_digital_sets(m, q))
+    with pytest.raises(BudgetExceededError):
+        verify_carry_extremality(m)
+    with pytest.raises(BudgetExceededError):
+        verify_small_doubling_classification(m, q)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zqadd.core import ResidueSet, interval, period_group
+from zqadd.core import ResidueSet, interval, period_group, sumset
+from zqadd.digital import verify_impact_extension
 from zqadd.impact import (
     beta_threshold,
     bound2_threshold,
@@ -18,8 +19,6 @@ from zqadd.impact import (
     range_bounds,
     sidon_check,
     sidon_sumset_bound_check,
-    verify_impact_extension,
-    xi2,
     xi_exact,
     xi_naive,
     xi_search,
@@ -76,26 +75,42 @@ class TestImpactValues:
             q = rng.randrange(5, 14)
             A = ResidueSet(q, rng.randrange(1, (1 << q) - 1))
             if A.size <= q - 3:
-                assert xi2(A) == xi_naive(A, 2).value
+                assert xi_exact(A, 2) == xi_naive(A, 2).value
                 assert xi_exact(A, 3) == xi_naive(A, 3).value
 
     def test_xi2_identity(self):
         A = S(12, [0, 1, 2, 7, 8])
-        assert xi2(A) == A.size + min_alpha(A)
+        assert xi_exact(A, 2) == A.size + min_alpha(A)
 
     @pytest.mark.parametrize("q", [1, 2, 5, 12])
     def test_xi2_full_group(self, q):
         # the alpha profile of Z_q is undefined, but Z_q + B = Z_q
         A = ResidueSet.full(q)
-        assert xi2(A) == q
-        if q >= 2:
-            assert xi_exact(A, 2) == xi_search(A, 2).value == q
+        assert xi_exact(A, min(q, 2)) == xi_search(A, min(q, 2)).value == q
 
     def test_budget_gives_inexact(self):
         A = S(18, list(range(9)))
         r = xi_search(A, 5, node_budget=3)
         assert not r.exact
         assert r.value >= xi_search(A, 5).value
+
+    def test_cut_search_returns_a_leaf(self):
+        # the budget is tested only once a leaf exists; the first leaf is
+        # {0, 1, .., n-2, c} after n - 1 pops and one last-element scan
+        rng = random.Random(7)
+        q, n = 24, 6
+        A = ResidueSet.from_elements(q, rng.sample(range(q), 8))
+        full = xi_search(A, n)
+        assert full.exact and full.nodes_explored > n + 1 + q  # every budget below cuts
+        for budget in range(n + 2):
+            r = xi_search(A, n, node_budget=budget)
+            w = r.witness
+            assert r.exact is False
+            assert w.size == n and 0 in w.elements
+            assert sumset(A, w).size == r.value >= full.value
+            assert r.nodes_explored <= max(budget, n - 1) + q
+            if budget <= n - 1:
+                assert w.elements[: n - 1] == tuple(range(n - 1))
 
     @pytest.mark.parametrize("q, n", [(1, 2), (2, 3)])
     def test_xi_exact_range(self, q, n):

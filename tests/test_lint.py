@@ -33,6 +33,31 @@ def test_checker_finds_an_unused_import():
     assert unused_imports("from a import b as c\nc()\n") == []
 
 
+def imports_in_functions(source: str) -> list[str]:
+    """Imports that run inside a function body instead of at module level."""
+    found = {
+        inner.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    }
+    return [f"line {line}" for line in sorted(found)]
+
+
+def test_checker_finds_an_import_in_a_function():
+    source = (
+        "import math\n\n\ndef f():\n    from . import digital\n    return digital\n\n\n"
+        "class C:\n    import json\n\n    def g(self):\n        def h():\n            import os\n"
+    )
+    assert imports_in_functions(source) == ["line 5", "line 14"]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_imports_in_function_bodies(path):
+    assert imports_in_functions((SRC / path).read_text()) == []
+
+
 # the package's __init__ imports names to re-export them
 @pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
 def test_no_unused_top_level_imports(path):

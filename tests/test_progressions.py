@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from zqadd import progressions
 from zqadd.core import ResidueSet, interval
 from zqadd.progressions import (
     alpha,
@@ -143,8 +144,9 @@ class TestStability:
         assert rep.k == 2 and rep.status == "unstable"
         assert rep.witness is not None
 
-    def test_indeterminate_on_tiny_budget(self):
-        rep = stability(S(30, list(range(10)) + [15, 20, 25]), budget=10)
+    def test_indeterminate_on_tiny_budget(self, monkeypatch):
+        monkeypatch.setattr(progressions, "STABILITY_BUDGET", 10)
+        rep = stability(S(30, list(range(10)) + [15, 20, 25]))
         assert rep.status == "indeterminate"
         assert rep.stable is None
 

@@ -177,12 +177,13 @@ def test_inexact_pluennecke_is_skipped_not_counted(monkeypatch):
     cap = 12  # below the 13..16 elements of the dedicated large samples
     seen = []
 
-    def capped(A, B):
-        rep = impact.pluennecke_subset(A, B, exact_cap=cap)
+    def recorded(A, B):
+        rep = impact.pluennecke_subset(A, B)
         seen.append((A.elements, rep.exact))
         return rep
 
-    monkeypatch.setattr(verify, "pluennecke_subset", capped)
+    monkeypatch.setattr(impact, "PLUENNECKE_EXACT_CAP", cap)
+    monkeypatch.setattr(verify, "pluennecke_subset", recorded)
     report = verify.suite_sumset_inequalities(RunConfig(seed=1, profile="smoke"))
     inexact = [elems for elems, exact in seen if not exact]
     assert len(inexact) == verify._SCALE["smoke"]["pluennecke_large_samples"]
