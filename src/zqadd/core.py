@@ -221,6 +221,7 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(d for d in range(1, n + 1) if n % d == 0)
 
 
+@lru_cache(maxsize=None)
 def units(q: int) -> tuple[int, ...]:
     # from 0, so that Z_1 has its one unit, 0
     return tuple(c for c in range(q) if math.gcd(c, q) == 1)
@@ -363,6 +364,28 @@ def affine_orbit(mask: int, q: int) -> Iterator[tuple[int, int, int]]:
             dilate |= 1 << (c * x % q)
         for s, image in enumerate(shift_table(dilate, q)):
             yield image, c, s
+
+
+def affine_maps(mask: int, target: int, q: int) -> Iterator[tuple[int, int]]:
+    """Every (c, s) with c*S + s = T, for the sets S and T with these masks:
+    c over units(q) ascending, and s ascending within each c.
+
+    A map taking S to T takes S+1 to T+c, and so (S+1) \\ S onto (T+c) \\ T;
+    hence alpha_c(T) = |(T+c) \\ T| equals alpha_1(S) = |(S+1) \\ S| for
+    every scale c that occurs.  Only those c are dilated and matched.
+    """
+    alpha_1 = (shift_mask(mask, 1, q) & ~mask).bit_count()
+    elems = [x for x in range(q) if mask >> x & 1]
+    rotations = shift_table(target, q)
+    for c in units(q):
+        if (rotations[c] & ~target).bit_count() != alpha_1:
+            continue
+        dilate = 0
+        for x in elems:
+            dilate |= 1 << (c * x % q)
+        for s, image in enumerate(shift_table(dilate, q)):
+            if image == target:
+                yield c, s
 
 
 def coset_runs(mask: int, t: int, q: int) -> tuple[list[int], list[tuple[int, ...]]]:

@@ -16,6 +16,7 @@ from .core import (
     ModulusMismatchError,
     ResidueSet,
     Subgroup,
+    affine_maps,
     affine_orbit,
     coset_counts,
     factorize,
@@ -401,10 +402,8 @@ def verify_small_doubling_classification(m: int, q: int) -> SmallDoublingReport:
         pair = _find_covering_pair(A.mask, aa, q)
         if pair is None:
             continue
-        # (c, s) with c*A + s = [0, m-1], if A is an affine interval image
-        orbit = affine_orbit(A.mask, q)
-        maps = ({"scale": c, "shift": s} for img, c, s in orbit if img == interval_mask)
-        normal = next(maps, None)
+        # the first (c, s) with c*A + s = [0, m-1], if A is an affine interval image
+        normal = next(({"scale": c, "shift": s} for c, s in affine_maps(A.mask, interval_mask, q)), None)
         solutions.append(
             {
                 "elements": list(A.elements),

@@ -11,7 +11,7 @@ from typing import Optional
 from .core import (
     ResidueSet,
     Subgroup,
-    affine_orbit,
+    affine_maps,
     coset_counts,
     coset_runs,
     interval,
@@ -146,7 +146,12 @@ def check_uniqueness(A: ResidueSet) -> UniquenessVerdict:
 
     Family 2 equals m - family 1, so both exception labels name one affine
     orbit.  The label and the detail (c, s), with c^-1 * A + s that family,
-    come from the smallest scale c with c^-1 * A a translate of a family.
+    come from the smallest scale c with c^-1 * A a translate of a family
+    (then the smallest s, then family 1 before family 2).
+
+    A map F -> c*F + t onto A takes F+1 to A+c, so alpha_c(A) =
+    alpha_1(F) = 2: only scales c in the difference set can occur, and
+    affine_maps dilates a family by no other c.
     """
     q = A.q
     m = A.size
@@ -167,16 +172,12 @@ def check_uniqueness(A: ResidueSet) -> UniquenessVerdict:
     if len(diff_set) == 2 and diff_set[1] == (q - diff_set[0]) % q:
         return UniquenessVerdict(A, diff_set, "unique_pm_d", hypothesis)
 
-    # c^-1 * A + s = F  iff  A = c*F + t with t = -c*s: walk the orbits of
-    # both families in step, so their scale is the reported c
-    fam1, fam2 = _family_masks(q, m)
-    found = []
-    for (img1, c, t), (img2, _, _) in zip(affine_orbit(fam1, q), affine_orbit(fam2, q)):
-        if found and c != found[0][0]:
-            break
-        for family, img in enumerate((img1, img2)):
-            if img == A.mask:
-                found.append((c, -t * pow(c, -1, q) % q, family))
+    # c^-1 * A + s = F  iff  c*F + t = A with t = -c*s
+    found = [
+        (c, -t * pow(c, -1, q) % q, family)
+        for family, fam in enumerate(_family_masks(q, m))
+        for c, t in affine_maps(fam, A.mask, q)
+    ]
     if found:
         c, s, family = min(found)
         detail = {"scale": c, "shift": s}

@@ -74,7 +74,7 @@ _SCALE = {
         "identity_q_max": 13,
         "identity_samples": 100_000,
         "boundary_samples": 10_000,
-        "ineq_q_max": 12,
+        "ineq_q_max": 14,
         "ineq_samples": 100_000,
         "pluennecke_large_samples": 500,
         "sg_samples": 10_000,
@@ -350,8 +350,13 @@ def _ineq_chunk(args: tuple[int, int, int]) -> tuple[int, int, list]:
 
 def suite_sumset_inequalities(cfg: RunConfig) -> dict:
     scale = _SCALE[cfg.profile]
-    spans = [(q, 0, len(translation_classes(q))) for q in range(1, scale["ineq_q_max"] + 1)]
+    q_values = range(1, scale["ineq_q_max"] + 1)
+    spans = [(q, 0, len(translation_classes(q))) for q in q_values]
     (total, covered), bad = _sweep(_ineq_chunk, spans, 24, cfg.workers)
+    # Z_q has T = 2^q - 1 nonempty subsets, so T(T+1)/2 unordered pairs
+    expected = sum(T * (T + 1) // 2 for T in ((1 << q) - 1 for q in q_values))
+    if covered != expected:
+        raise AssertionError(f"{covered} mask pairs do not cover the {expected} unordered pairs of nonempty sets")
 
     rng = cfg.rng("inequalities")
     plue_exact = 0

@@ -10,6 +10,7 @@ from zqadd.core import (
     ModulusMismatchError,
     ResidueSet,
     Subgroup,
+    affine_maps,
     affine_orbit,
     coset_counts,
     coset_runs,
@@ -258,6 +259,18 @@ class TestKernels:
 
     def test_affine_orbit_of_z1(self):
         assert list(affine_orbit(1, 1)) == [(1, 0, 0)]
+
+    @pytest.mark.parametrize("q", range(1, 11))
+    def test_affine_maps_are_the_orbit_maps_onto_the_target(self, q):
+        # every mask, so composite q and periodic S (several s per c) occur
+        rng = random.Random(q)
+        for mask in range(1 << q):
+            orbit = list(affine_orbit(mask, q))
+            targets = {orbit[rng.randrange(len(orbit))][0] for _ in range(2)}
+            targets |= {rng.randrange(1 << q) for _ in range(2)}
+            for target in targets:
+                expected = [(c, s) for image, c, s in orbit if image == target]
+                assert list(affine_maps(mask, target, q)) == expected
 
     @pytest.mark.parametrize("q", [7, 9, 12])
     def test_affine_orbit_lex_least_image(self, q):

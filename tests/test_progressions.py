@@ -1,8 +1,11 @@
 """AP decompositions, uniqueness classification, stable components."""
 
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zqadd import progressions
 from zqadd.core import ResidueSet, interval
@@ -110,6 +113,38 @@ class TestUniqueness:
                 v = check_uniqueness(A)
                 assert (v.classification, v.detail) == self._brute_force(A, m)
 
+    @pytest.mark.parametrize("q", [105, 121, 125, 135])
+    def test_composite_moduli_match_brute_force(self, q):
+        # difference sets with non-units: a family dilated by p, the least
+        # prime of q, lies in a coset of <p> and is no family image, and a
+        # 3-set {0, a, b} has all of +-a, +-b, +-(b - a) as differences
+        rng = random.Random(q)
+        p = min(x for x in range(3, q) if q % x == 0)
+        units = [c for c in range(1, q) if math.gcd(c, q) == 1]
+        cases = []
+        for m in (3, 5, 8, 20):
+            fam1 = set(range(m - 1)) | {m}
+            for fam in (fam1, {(m - x) % q for x in fam1}):
+                # x -> p*c*x is injective on fam when m < q/p
+                for c in (rng.choice(units), p * rng.choice(units))[: 1 + (m < q // p)]:
+                    s = rng.randrange(q)
+                    cases.append((S(q, [(c * x + s) % q for x in fam]), m))
+        for _ in range(20):
+            A = S(q, rng.sample(range(q), 3))
+            if min_alpha(A) == 2:  # not a 3-term progression
+                cases.append((A, 3))
+        seen = set()
+        for A, m in cases:
+            v = check_uniqueness(A)
+            brute = self._brute_force(A, m)
+            if brute is None:
+                assert v.classification in ("other", "unique_pm_d")
+            else:
+                assert (v.classification, v.detail) == brute
+            seen.add(v.classification)
+            seen.update("non-unit" for t in v.difference_set if math.gcd(t, q) > 1)
+        assert seen >= {"exception_interval_plus_point", "exception_point_plus_interval", "other", "non-unit"}
+
     @staticmethod
     def _brute_force(A, m):
         """The first (c, s), c ascending then s, with c^-1 * A + s a family."""
@@ -119,8 +154,11 @@ class TestUniqueness:
             ("exception_point_plus_interval", {0} | set(range(2, m + 1))),
         )
         for c in range(1, q):
+            if math.gcd(c, q) > 1:
+                continue
             inv = pow(c, -1, q)
-            for s in range(q):
+            # both families contain 0, so s = -c^-1 * x for some x in A
+            for s in sorted({-inv * x % q for x in A.elements}):
                 image = {(inv * x + s) % q for x in A.elements}
                 for label, fam in families:
                     if image == fam:
@@ -130,6 +168,34 @@ class TestUniqueness:
     def test_requires_min_alpha_two(self):
         with pytest.raises(ValueError):
             check_uniqueness(interval(0, 4, 20))
+
+
+@st.composite
+def min_alpha_two_case(draw):
+    """A set with min alpha 2 (two intervals, dilated by any c0, so some
+    lie in a coset), and a map x -> c*x + s with c a unit."""
+    q = draw(st.integers(7, 60))
+    l1 = draw(st.integers(1, q - 3))
+    gap = draw(st.integers(1, q - 2 - l1))
+    l2 = draw(st.integers(1, q - 1 - l1 - gap))
+    c0 = draw(st.integers(1, q - 1))
+    A = S(q, {c0 * x % q for x in [*range(l1), *range(l1 + gap, l1 + gap + l2)]})
+    assume(2 < A.size < q and min_alpha(A) == 2)
+    c = draw(st.sampled_from([c for c in range(1, q) if math.gcd(c, q) == 1]))
+    return A, c, draw(st.integers(0, q - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(min_alpha_two_case())
+def test_uniqueness_is_affine_invariant(case):
+    # x -> cx + s maps A + {0, t} onto (cA + s) + {0, ct}, and family
+    # images onto family images
+    A, c, s = case
+    q = A.q
+    v = check_uniqueness(A)
+    w = check_uniqueness(S(q, [(c * a + s) % q for a in A.elements]))
+    assert w.difference_set == tuple(sorted(c * t % q for t in v.difference_set))
+    assert w.classification.startswith("exception_") == v.classification.startswith("exception_")
 
 
 class TestStability:

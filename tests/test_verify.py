@@ -173,6 +173,13 @@ def test_report_counts_checks_and_covered_pairs():
     assert report["instances"] == sum(n * (n + 1) // 2 for n in classes) + samples
 
 
+def test_a_dropped_translation_class_is_caught(monkeypatch):
+    # the last class of each Z_q is the full set's; its pairs go missing
+    monkeypatch.setattr(verify, "translation_classes", lambda q: translation_classes(q)[:-1])
+    with pytest.raises(AssertionError, match="do not cover"):
+        verify.suite_sumset_inequalities(RunConfig(seed=1, profile="smoke"))
+
+
 def test_inexact_pluennecke_is_skipped_not_counted(monkeypatch):
     cap = 12  # below the 13..16 elements of the dedicated large samples
     seen = []
