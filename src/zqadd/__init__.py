@@ -7,7 +7,6 @@ from .core import (
     BudgetExceededError,
     ModulusMismatchError,
     ResidueSet,
-    format_set,
     interval,
     kneser_check,
     normalize_difference,

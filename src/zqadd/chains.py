@@ -412,13 +412,3 @@ def _affine_classes(witnesses: list[int], p: int) -> dict[tuple[int, ...], int]:
         images = {img for img, _, _ in affine_orbit(mk, p)}
         classes.setdefault(min(ResidueSet(p, img).elements for img in images), len(images))
     return classes
-
-
-def mu_density_table(p_list) -> list[dict]:
-    """Rows (p, mu, mu/p) plus the limiting-ceiling context row."""
-    rows = []
-    for p in p_list:
-        rec = compute_mu(p)
-        rows.append({"p": p, "mu": rec.mu, "ratio": rec.mu / p, "bounds_hold": rec.bounds_hold})
-    rows.append({"note": "liminf mu(p)/p <= 5/18 (construction ceiling)", "ceiling": 5 / 18})
-    return rows

@@ -18,6 +18,7 @@ from .core import (
     ResidueSet,
     parse_set,
     set_from_json,
+    set_to_json,
 )
 from .chains import build_construction, compute_mu, construction_chain_family, extract_chain_structure, project_to_prime
 from .digital import (
@@ -75,10 +76,6 @@ def _emit_rows(rows: list[dict], fmt: str) -> None:
     else:
         for r in rows:
             _emit(r, fmt)
-
-
-def _set_fields(A: ResidueSet) -> dict:
-    return {"q": A.q, "elements": sorted(A.elements)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,7 +166,7 @@ def _cmd_xi(args) -> int:
     A = _parse_set_arg(args.set, args.q)
     res = xi_search(A, args.n, node_budget=args.budget_nodes)
     out = {
-        **_set_fields(A),
+        **set_to_json(A),
         "n": args.n,
         "value": res.value,
         "witness": sorted(res.witness.elements),
@@ -183,7 +180,7 @@ def _cmd_xi(args) -> int:
 def _cmd_alpha(args) -> int:
     A = _parse_set_arg(args.set, args.q)
     if args.d1 is not None:
-        rows = [{**_set_fields(A), "t": args.d1, "alpha": alpha(A, args.d1)}]
+        rows = [{**set_to_json(A), "t": args.d1, "alpha": alpha(A, args.d1)}]
     else:
         prof = alpha_profile(A)
         rows = [{"q": A.q, "t": t, "alpha": a} for t, a in sorted(prof.items())]
@@ -196,7 +193,7 @@ def _cmd_decomp(args) -> int:
     dec = decompose(A, args.d1)
     _emit(
         {
-            **_set_fields(A),
+            **set_to_json(A),
             "difference": args.d1,
             "alpha": dec.alpha,
             "full_cosets": list(dec.full_cosets),
@@ -211,7 +208,7 @@ def _cmd_stability(args) -> int:
     A = _parse_set_arg(args.set, args.q)
     rep = stability(A)
     out = {
-        **_set_fields(A),
+        **set_to_json(A),
         "k": rep.k,
         "optimal_differences": list(rep.optimal_differences),
         "status": rep.status,
@@ -227,7 +224,7 @@ def _cmd_uniqueness(args) -> int:
     A = _parse_set_arg(args.set, args.q)
     v = check_uniqueness(A)
     out = {
-        **_set_fields(A),
+        **set_to_json(A),
         "difference_set": list(v.difference_set),
         "classification": v.classification,
         "hypotheses": v.hypothesis_report,
@@ -244,7 +241,7 @@ def _cmd_digital(args) -> int:
     if sub == "check":
         A = _parse_set_arg(args.set, args.q)
         w = is_digital(A)
-        out = {**_set_fields(A), "digital": w is not None}
+        out = {**set_to_json(A), "digital": w is not None}
         if w is not None:
             out["m"] = w.m
             pc = prime_condition(w.m, A.q)
@@ -266,7 +263,7 @@ def _cmd_digital(args) -> int:
         stats = carry_stats(w)
         _emit(
             {
-                **_set_fields(A),
+                **set_to_json(A),
                 "m": w.m,
                 "distinct_carries": list(stats.distinct_carries),
                 "nonzero_pair_count": stats.nonzero_pair_count,
@@ -364,7 +361,7 @@ def _cmd_chains(args) -> int:
     fam = extract_chain_structure(A, args.d1, args.d2, k_bound=args.k)
     _emit(
         {
-            **_set_fields(A),
+            **set_to_json(A),
             "d1": args.d1,
             "d2": args.d2,
             "occupied_cosets": fam.z,

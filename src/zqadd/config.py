@@ -22,11 +22,12 @@ class RunConfig:
         if self.workers < 1:
             raise ValueError("workers must be positive")
 
-    def derived_seed(self, label: str, index: int = 0) -> int:
+    def derived_seed(self, label: str) -> int:
         """A stable per-task seed: independent tasks get independent
         streams regardless of scheduling order."""
-        digest = hashlib.sha256(f"{self.seed}/{label}/{index}".encode()).digest()
+        # the "/0" suffix stays so that every seeded report keeps its bytes
+        digest = hashlib.sha256(f"{self.seed}/{label}/0".encode()).digest()
         return int.from_bytes(digest[:8], "big")
 
-    def rng(self, label: str, index: int = 0) -> random.Random:
-        return random.Random(self.derived_seed(label, index))
+    def rng(self, label: str) -> random.Random:
+        return random.Random(self.derived_seed(label))

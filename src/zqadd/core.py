@@ -102,14 +102,6 @@ class ResidueSet:
     def complement(self) -> "ResidueSet":
         return ResidueSet(self.q, ((1 << self.q) - 1) ^ self.mask)
 
-    def union(self, other: "ResidueSet") -> "ResidueSet":
-        self._check_same(other)
-        return ResidueSet(self.q, self.mask | other.mask)
-
-    def intersection(self, other: "ResidueSet") -> "ResidueSet":
-        self._check_same(other)
-        return ResidueSet(self.q, self.mask & other.mask)
-
     def _check_same(self, other: "ResidueSet") -> None:
         if self.q != other.q:
             raise ModulusMismatchError(f"moduli differ: {self.q} != {other.q}")
@@ -147,10 +139,6 @@ def parse_set(text: str) -> ResidueSet:
     except ValueError:
         raise ValueError(f"bad element in set literal: {text!r}") from None
     return ResidueSet.from_elements(q, elems)
-
-
-def format_set(A: ResidueSet) -> str:
-    return f"q={A.q};{{{','.join(map(str, A.elements))}}}"
 
 
 def set_to_json(A: ResidueSet) -> dict:
@@ -495,14 +483,3 @@ def normalize_difference(a: int, q: int) -> NormalizedDifference:
     a2 = value // a1
     assert q % a1 == 0 and math.gcd(a2, q) == 1 and value % q == a % q
     return NormalizedDifference(a, q, value, a1, a2)
-
-
-def crt_embed(A: ResidueSet, q2: int) -> ResidueSet:
-    """Embed A x {0} into Z_{q*q2} via CRT (gcd(q, q2) = 1 required)."""
-    q1 = A.q
-    if math.gcd(q1, q2) != 1:
-        raise ValueError("CRT embedding needs coprime moduli")
-    q = q1 * q2
-    # x == a (mod q1), x == 0 (mod q2)
-    inv = pow(q2, -1, q1)
-    return ResidueSet.from_elements(q, ((a * inv % q1) * q2 % q for a in A.elements))

@@ -181,10 +181,6 @@ def enumerate_digital_sets(m: int, q: int) -> Iterator[DigitalSetWitness]:
         yield DigitalSetWitness(ResidueSet(q, mask), m, elems)
 
 
-def count_digital_sets(m: int, q: int) -> int:
-    return (q // m) ** m
-
-
 def sample_digital_set(m: int, q: int, rng: random.Random) -> ResidueSet:
     if m < 1 or q % m != 0:
         raise ValueError("digital sets need m | q")

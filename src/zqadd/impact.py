@@ -79,9 +79,7 @@ def xi_naive(A: ResidueSet, n: int) -> ImpactResult:
     return ImpactResult(n, best, witness, nodes, True)
 
 
-def xi_search(
-    A: ResidueSet, n: int, node_budget: int = DEFAULT_NODE_BUDGET
-) -> ImpactResult:
+def xi_search(A: ResidueSet, n: int, node_budget: Optional[int] = None) -> ImpactResult:
     """Branch-and-bound over prenecklace gap sequences, same lexicographic
     witness as xi_naive.
 
@@ -102,10 +100,13 @@ def xi_search(
     incumbent is q + 1 and nothing is pruned, and lo <= hi on the path of
     least candidates since n <= q, so the first leaf comes after n - 1
     pops and one last-element scan: a cut result is always a leaf.
+    node_budget defaults to DEFAULT_NODE_BUDGET as it is at the call.
     """
     res = _trivial_impact(A, n)
     if res is not None:
         return res
+    if node_budget is None:
+        node_budget = DEFAULT_NODE_BUDGET
     q = A.q
     shifts = shift_table(A.mask, q)
     best = q + 1  # every leaf beats it, so best <= q once a leaf exists
@@ -153,7 +154,7 @@ def xi_search(
 
 def xi_exact(A: ResidueSet, n: int) -> int:
     """xi_A(n) by xi_search; BudgetExceededError if the search is cut."""
-    res = xi_search(A, n, DEFAULT_NODE_BUDGET)
+    res = xi_search(A, n)
     if not res.exact:
         raise BudgetExceededError(f"xi_search inexact at n={n}")
     return res.value

@@ -212,65 +212,35 @@ class StabilityReport:
 STABILITY_BUDGET = 2_000_000  # most modifications of A that stability enumerates
 
 
-def stability(A: ResidueSet, strict: bool = False) -> StabilityReport:
+def stability(A: ResidueSet) -> StabilityReport:
     """Decide whether A has k stable components, k = min_t alpha_t(A).
 
-    Enumerates every modification of A within the allowed distance and
-    tests |(A~ + d) \\ A~| >= k for each optimal difference d.  By default
-    the allowed modifications are all A~ with |A~ Δ A| <= k; with
-    strict=True they are all A~ with at most k removals and at most k
-    additions (the looser alternative reading).  Past STABILITY_BUDGET
-    modifications the status is indeterminate.
+    Enumerates every modification A~ of A with |A~ Δ A| <= k and tests
+    |(A~ + d) \\ A~| >= k for each optimal difference d.  Past
+    STABILITY_BUDGET modifications the status is indeterminate.
     """
     q = A.q
     k = min_alpha(A)
     opt = tuple(optimal_differences(A))
-
-    if strict:
-        inside = A.elements
-        outside = A.complement().elements
-        count = _binom_sum(len(inside), k) * _binom_sum(len(outside), k)
-    else:
-        count = _binom_sum(q, k)
-    if count > STABILITY_BUDGET:
+    if sum(math.comb(q, j) for j in range(k + 1)) > STABILITY_BUDGET:
         return StabilityReport(A, k, opt, "indeterminate")
 
     for d in opt:
-        for nbr in _neighborhood(A, k, strict):
+        for nbr in _neighborhood(A, k):
             if (shift_mask(nbr, d, q) & ~nbr).bit_count() < k:
                 return StabilityReport(A, k, opt, "unstable", (d, ResidueSet(q, nbr)))
     return StabilityReport(A, k, opt, "stable")
 
 
-def _binom_sum(n: int, k: int) -> int:
-    return sum(math.comb(n, j) for j in range(k + 1))
-
-
-def _neighborhood(A: ResidueSet, k: int, strict: bool):
-    """Masks of all allowed modifications of A (including A itself),
-    in deterministic order."""
-    q = A.q
-    if not strict:
-        for j in range(k + 1):
-            for delta in combinations(range(q), j):
-                m = A.mask
-                for x in delta:
-                    m ^= 1 << x
-                yield m
-    else:
-        inside = A.elements
-        outside = A.complement().elements
-        for jr in range(min(k, len(inside)) + 1):
-            for rem in combinations(inside, jr):
-                base = A.mask
-                for x in rem:
-                    base ^= 1 << x
-                for ja in range(min(k, len(outside)) + 1):
-                    for add in combinations(outside, ja):
-                        m = base
-                        for x in add:
-                            m |= 1 << x
-                        yield m
+def _neighborhood(A: ResidueSet, k: int):
+    """Masks of all A~ with |A~ Δ A| <= k (including A itself), in
+    deterministic order."""
+    for j in range(k + 1):
+        for delta in combinations(range(A.q), j):
+            m = A.mask
+            for x in delta:
+                m ^= 1 << x
+            yield m
 
 
 # ---------------------------------------------------------------------------

@@ -230,14 +230,10 @@ def suite_boundary_values(cfg: RunConfig) -> dict:
         A = _random_proper_subset(rng, q)
         m = A.size
         count += 1
-        checks = [(1, m)]
-        if 0 < q - m:
-            # xi(q-m) = q - |H(A)|: the missed sums form a coset of the
-            # period group, so q-1 exactly when A is aperiodic
-            checks.append((q - m, q - period_group(A).order))
-        if q - m + 1 <= q:
-            n_over = rng.randrange(q - m + 1, q + 1)
-            checks.append((n_over, q))
+        # 1 <= m <= q-1.  xi(q-m) = q - |H(A)|: the missed sums form a coset
+        # of the period group, so q-1 exactly when A is aperiodic
+        n_over = rng.randrange(q - m + 1, q + 1)
+        checks = [(1, m), (q - m, q - period_group(A).order), (n_over, q)]
         for n, expect in checks:
             got = xi_naive(A, n).value
             if got != expect:

@@ -14,7 +14,6 @@ from zqadd.chains import (
     construction_chain_family,
     equal_impact_witnesses,
     extract_chain_structure,
-    mu_density_table,
     project_to_prime,
 )
 from zqadd.impact import xi_exact
@@ -256,8 +255,3 @@ class TestMu:
     def test_composite_rejected(self):
         with pytest.raises(ValueError):
             compute_mu(9)
-
-    def test_density_table(self):
-        rows = mu_density_table([5, 7])
-        assert rows[0]["mu"] == 4
-        assert rows[-1]["ceiling"] == pytest.approx(5 / 18)

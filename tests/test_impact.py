@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zqadd.core import ResidueSet, interval, period_group, sumset
+from zqadd import impact
+from zqadd.core import BudgetExceededError, ResidueSet, interval, period_group, sumset
 from zqadd.digital import verify_impact_extension
 from zqadd.impact import (
     beta_threshold,
@@ -94,6 +95,15 @@ class TestImpactValues:
         assert not r.exact
         assert r.value >= xi_search(A, 5).value
 
+    def test_default_budget_is_read_at_call_time(self, monkeypatch):
+        # 475 nodes under the default budget; the verify suites call
+        # xi_search without a budget, so lowering the constant must cut them
+        A = S(32, [0, 1, 5, 9, 14, 20, 27])
+        monkeypatch.setattr(impact, "DEFAULT_NODE_BUDGET", 3)
+        assert not xi_search(A, 5).exact
+        with pytest.raises(BudgetExceededError):
+            xi_exact(A, 5)
+
     def test_cut_search_returns_a_leaf(self):
         # the budget is tested only once a leaf exists; the first leaf is
         # {0, 1, .., n-2, c} after n - 1 pops and one last-element scan
@@ -125,6 +135,19 @@ class TestImpactValues:
                 for n in range(q + 1):
                     rn, rs = xi_naive(A, n), xi_search(A, n)
                     assert rs.exact and (rs.value, rs.witness) == (rn.value, rn.witness)
+
+    def test_complement_duality(self):
+        # xi(n) <= s iff xi(q-s) <= q-n: if |B| = n and |A+B| <= s, any
+        # q-s sums C that A+B misses have (C - A) ∩ B empty, so
+        # |-A + C| <= q-n, and xi_{-A} = xi_A; the converse is the same.
+        # Every nonempty A and every n, s at q <= 10
+        for q in range(1, 11):
+            for mask in range(1, 1 << q):
+                A = ResidueSet(q, mask)
+                xi = [xi_naive(A, n).value for n in range(q + 1)]
+                for n in range(q + 1):
+                    for s in range(q + 1):
+                        assert (xi[n] <= s) == (xi[q - s] <= q - n), (A, n, s)
 
     def test_search_node_ceiling(self):
         # 2,084 nodes with the prenecklace prune, 55,102 for a DFS over
