@@ -14,7 +14,6 @@ from .core import (
     Subgroup,
     affine_orbit,
     coset_runs,
-    necklaces,
     next_prime,
     seminorm,
     shift_mask,
@@ -277,48 +276,146 @@ class MuRecord:
     sqrt_bound_applicable: bool
     bounds_hold: bool
     strategy: str
+    nodes: int  # search nodes: gaps and runs placed ('bounded'), subsets tested ('full')
 
 
 MU_FULL_BUDGET = 1 << 22  # most subsets the unreduced 'full' scan may test
 
 
-def _normalized_witness_test(q: int) -> Callable[[int], bool]:
-    """A test on masks of Z_q that passes A exactly when 1 is an optimal
-    difference of A and A + d lies in A ∪ (A+1) for some d outside {0, 1}.
+def _dead_differences(p: int) -> tuple[int, Callable[[int, int], int]]:
+    """(every_d, dead) for a subset A of Z_p with p - 1 not in A, known on
+    K = [0, L): dead(mask, known), with mask = A ∩ K and known = 2^L - 1,
+    sets bit (d+1)*w - 1 (w = 2p) for each d = 2 .. p-1 such that
+      (i)  some a in A ∩ K has a + d in K \\ S, where S = A ∪ (A+1), or
+      (ii) some y in E ∩ K, where E = (A+1) \\ A, has y - d in K \\ A or
+           y - d = p - 1;
+    every_d holds the bits of all those d.  K \\ S and E ∩ K are known, as
+    0 - 1 = p - 1 is not in A.
 
-    Such an A has xi(3) <= |A ∪ (A+1) ∪ (A+d)| = |A| + alpha_1 = xi(2).
-    Every witness has optimal d1 != d2 with A + d2 inside A ∪ (A+d1), as
-    |A ∪ (A+d1) ∪ (A+d2)| = |A| + min alpha, so for q prime its dilate by
-    1/d1 passes: every affine class of witnesses has a member that passes.
-
-    Step (a) asks whether A + d misses gap = Z_q minus A ∪ (A+1) for some
-    d; nearly every set fails it.  It tests all q - 2 shifts in one
-    product: slot s (w = 2q bits) of doubled * spread holds A ∪ (A+q)
-    shifted up by s*w, slot s of gap * stagger holds gap shifted up by
-    s*w + s, so slot s of their AND is nonzero exactly when A + (q-s)
-    meets gap.  Its value is below 2^(s+q) <= 2^(w-2), so adding
-    2^(w-1) - 1 sets its top bit exactly when it is nonzero, with no
-    carry.  Step (b) checks alpha_d >= alpha_1 for d = 2 .. q//2.
+    Each test covers every d in one product: slot d (w bits) of
+    x * stagger holds X shifted up by d*w + d, slot d of y2 * spread holds
+    Y ∪ (Y+p) shifted up by d*w, so slot d of their AND holds the x + d < 2p
+    (x in X) that lie in Y or Y + p, and is nonzero exactly when X + d meets
+    Y mod p.  Its value is below 2^(2p-1) = 2^(w-1), so adding 2^(w-1) - 1
+    sets its top bit exactly when it is nonzero, with no carry.
     """
-    w = 2 * q
-    slots = range(1, q - 1)
-    spread = sum(1 << s * w for s in slots)
-    stagger = sum(1 << s * (w + 1) for s in slots)
-    tops = spread << (w - 1)
-    fill = tops - spread  # 2^(w-1) - 1 in every slot
-    full = (1 << q) - 1
+    w = 2 * p
+    slots = range(2, p)
+    spread = sum(1 << d * w for d in slots)
+    stagger = sum(1 << d * (w + 1) for d in slots)
+    every_d = spread << (w - 1)
+    fill = every_d - spread  # 2^(w-1) - 1 in every slot
+    last = 1 << (p - 1)
 
-    def test(mask: int) -> bool:
-        doubled = mask | mask << q
-        gap = full & ~(mask | doubled >> (q - 1))
-        if ((doubled * spread & gap * stagger) + fill) & tops == tops:
-            return False
-        r = q - mask.bit_count() - gap.bit_count()  # alpha_1
+    def dead(mask: int, known: int) -> int:
+        out = known & ~mask  # K \ A
+        y1 = out & ~(mask << 1)  # K \ S
+        y2 = out & mask << 1  # E ∩ K
+        hits = mask * stagger & (y1 | y1 << p) * spread  # (i)
+        hits |= (out | last) * stagger & (y2 | y2 << p) * spread  # (ii)
+        return (hits + fill) & every_d
+
+    return every_d, dead
+
+
+def _layout_witnesses(p: int, k: int) -> tuple[list[int], int]:
+    """The k-subsets of Z_p, as masks, that pass the normalized witness
+    test, at least one per translation class that does, and the number of
+    gaps and runs the search placed.
+
+    The test: alpha_1 is minimal and A + d lies in S = A ∪ (A+1) for some d
+    outside {0, 1}.  Such an A has xi(3) <= |S ∪ (A+d)| = |A| + alpha_1 =
+    xi(2).  Every witness has optimal d1 != d2 with A + d2 inside
+    A ∪ (A+d1), as |A ∪ (A+d1) ∪ (A+d2)| = |A| + min alpha, so for p prime
+    its dilate by 1/d1 passes: every affine class of witnesses has a
+    member that passes.  In a passing A, (A+d) \\ A, alpha_d >= alpha_1
+    points, lies in E = (A+1) \\ A, alpha_1 points, so the two are equal.
+
+    A is laid out as runs and gaps (l_1, g_1), .., (l_r, g_r) with run 1
+    starting at 0, so r = alpha_1 and p - 1 lies in a gap.  The rules:
+    - rotation: every (l_i, g_i) <= (l_1, g_1); a translation class has a
+      rotation that starts at a greatest pair, as 0 < k < p gives it a run;
+    - run bound: r <= k(p-k)/(p-1), the mean of alpha_d over d != 0, as the
+      k(p-k) pairs (a in A, y not in A) give one point of (A+d) \\ A each;
+    - gap lengths: every length from 1 to the longest occurs.  A gap
+      [u, u+g), g >= 2, puts u - d in A (u is in E, inside A + d) and
+      u-d+1 .. u-d+g-1 outside A (they are outside S, so outside A + d),
+      so a gap of length >= g-1 starts at u-d+1; walking u -> u-d+1 from a
+      longest gap drops the length by at most one a step until it is 1,
+      and never returns, as its starts differ mod p and r < p;
+    - surviving differences (_dead_differences): a d dies once the known
+      prefix K shows A + d leaving S, or E leaving A + d; K only grows, so
+      a dead d stays dead, and at K = Z_p the survivors, with alpha_1
+      minimal, are the d with A + d inside S.  It is checked as each gap
+      is placed (K ends at the next run's first point) and again as each
+      run is placed (K ends at the gap point after it);
+    - leaf: alpha_d >= r for d = 2 .. p//2, as alpha_{p-d} = alpha_d.
+    """
+    every_d, dead = _dead_differences(p)
+    full = (1 << p) - 1
+    rmax = k * (p - k) // (p - 1)
+    gmax = (math.isqrt(8 * (p - k) + 1) - 1) // 2  # a gap of length g needs g(g+1)/2 gap points
+    # weight[s]: the sum of the gap lengths in the set s, as a bit mask
+    weight = [sum(j for j in range(gmax + 1) if s >> j & 1) for s in range(2 << gmax)]
+    found: list[int] = []
+    nodes = 0
+
+    def complete(mask: int, live: int, r: int, pair: tuple[int, int], first: tuple[int, int], lengths: int) -> None:
+        # the last run and gap, pair, close the layout, so K = Z_p
+        lengths |= 1 << pair[1]
+        if pair > first or lengths != (1 << lengths.bit_length()) - 2 or not live & ~dead(mask, full):
+            return
+        doubled = mask | mask << p
         comp = full ^ mask
-        # doubled >> s is A + (q - s); alpha_d = alpha_{q-d}
-        return all((doubled >> s & comp).bit_count() >= r for s in range(q - q // 2, q - 1))
+        # doubled >> s is A + (p - s)
+        if all((doubled >> s & comp).bit_count() >= r for s in range(p - p // 2, p - 1)):
+            found.append(mask)
 
-    return test
+    def grow(mask: int, end: int, live: int, r: int, l: int, first: Optional[tuple[int, int]], lengths: int) -> None:
+        # runs 1 .. r lie in mask, the last one, of length l, ends just
+        # below the gap point end; first = (l_1, g_1), or None while g_1 is
+        # open; lengths has bit g set for each gap length g placed
+        nonlocal nodes
+        left = k - mask.bit_count()
+        spare = p - end - left  # gap points still to place
+        l1 = first[0] if first else l
+        for g in range(1, min(gmax, spare - -(-left // l1)) + 1):
+            if first and l == l1 and g > first[1]:
+                break
+            seen = lengths | 1 << g
+            missing = (1 << seen.bit_length()) - 2 & ~seen  # each needs a later gap
+            if missing.bit_count() > rmax - r or weight[missing] > spare - g:
+                continue
+            pos = end + g
+            nodes += 1
+            live_g = live & ~dead(mask | 1 << pos, (2 << pos) - 1)
+            if not live_g:
+                continue
+            for l2 in range(min(left, l1), 0, -1):
+                more = -(-(left - l2) // l1)  # runs still to come after this one
+                if r + 1 + more > rmax or more >= spare - g:
+                    break
+                nodes += 1
+                m = mask | ((1 << l2) - 1) << pos
+                if l2 == left:
+                    complete(m, live_g, r + 1, (l2, spare - g), first or (l, g), seen)
+                    continue
+                alive = live_g & ~dead(m, (2 << pos + l2) - 1)
+                if alive:
+                    grow(m, pos + l2, alive, r + 1, l2, first or (l, g), seen)
+
+    for l1 in range(k, 0, -1):
+        if -(-k // l1) > rmax:
+            break
+        nodes += 1
+        mask = (1 << l1) - 1
+        if l1 == k:
+            complete(mask, every_d, 1, (k, p - k), (k, p - k), 0)
+            continue
+        alive = every_d & ~dead(mask, (2 << l1) - 1)
+        if alive:
+            grow(mask, l1, alive, 1, l1, None, 0)
+    return found, nodes
 
 
 def compute_mu(p: int, strategy: str = "bounded") -> MuRecord:
@@ -326,11 +423,12 @@ def compute_mu(p: int, strategy: str = "bounded") -> MuRecord:
     with the minimal witnesses listed up to affine equivalence.
 
     strategy: 'bounded' scans cardinalities k upward until the first hit,
-    testing one set per translation class, the binary necklaces of length
-    p with k ones (core.necklaces), with _normalized_witness_test; 'full'
-    tests every subset of Z_p with _equal_impact_pair, as the unreduced
-    oracle, and needs 2^p <= MU_FULL_BUDGET.  Both count in witness_count
-    the minimal witnesses that contain 0.
+    laying each k-subset out run by run (_layout_witnesses) and keeping
+    those that pass the normalized witness test; 'full' tests every subset
+    of Z_p with _equal_impact_pair, as the unreduced oracle, and needs
+    2^p <= MU_FULL_BUDGET.  Both count in witness_count the minimal
+    witnesses that contain 0, and in nodes the gaps and runs placed
+    ('bounded') or the subsets tested ('full').
     """
     if not (p >= 3 and next_prime(p) == p):
         raise ValueError("compute_mu needs an odd prime p")
@@ -339,12 +437,14 @@ def compute_mu(p: int, strategy: str = "bounded") -> MuRecord:
             raise BudgetExceededError(f"2^{p} subsets exceed budget")
         mu = None
         witnesses = []
+        nodes = 0
         for mask in range(1, (1 << p) - 1):
             size = mask.bit_count()
             if mu is not None and size > mu:
                 continue
             if size < 2:
-                continue  # a single point has xi(2)=3 > xi(3) impossible; skip
+                continue  # a single point has xi(2) = 2 != 3 = xi(3); skip
+            nodes += 1
             if _equal_impact_pair(mask, p) is not None:
                 if mu is None or size < mu:
                     mu = size
@@ -356,17 +456,11 @@ def compute_mu(p: int, strategy: str = "bounded") -> MuRecord:
         witness_count = sum(mask & 1 for mask in witnesses)
         classes = _affine_classes(witnesses, p)
     elif strategy == "bounded":
-        test = _normalized_witness_test(p)
         mu = None
-        witnesses = []
+        nodes = 0
         for size in range(2, p):
-            seen = 0
-            for mask in necklaces(p, size):
-                seen += 1
-                if test(mask):
-                    witnesses.append(mask)
-            if seen * p != math.comb(p, size):
-                raise AssertionError(f"{seen} necklaces do not cover the {size}-subsets of Z_{p}")
+            witnesses, searched = _layout_witnesses(p, size)
+            nodes += searched
             if witnesses:
                 mu = size
                 break
@@ -378,7 +472,7 @@ def compute_mu(p: int, strategy: str = "bounded") -> MuRecord:
         # group is a proper subgroup of Z_p, so trivial), of which exactly
         # mu contain 0: the A+x with -x in A.  xi(2) = xi(3) is affine
         # invariant too, so the witnesses of size mu are the affine classes
-        # met by the passing necklaces, and a class with N distinct images
+        # met by the passing layouts, and a class with N distinct images
         # holds N/p translation classes (N/p < p - 1 when some dilation
         # fixes a translate of A)
         witness_count = mu * sum(classes.values()) // p
@@ -400,6 +494,7 @@ def compute_mu(p: int, strategy: str = "bounded") -> MuRecord:
         applicable,
         holds,
         strategy,
+        nodes,
     )
 
 

@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from typing import Optional
 
 from .config import PROFILES, RunConfig
@@ -339,7 +340,12 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_mu(args) -> int:
+    start = time.perf_counter()
     rec = compute_mu(args.prime)
+    seconds = time.perf_counter() - start
+    # search effort goes to stderr, so stdout stays the canonical record
+    effort = {"p": rec.p, "mu": rec.mu, "nodes": rec.nodes, "seconds": round(seconds, 6)}
+    print(json.dumps(effort), file=sys.stderr)
     _emit(
         {
             "p": rec.p,

@@ -82,7 +82,7 @@ _SCALE = {
         "digsetteo_samples": 2_000,
         "corollary_mq": (16, 32),
         "construction_ms": (3, 4, 5, 6, 7, 8, 9),
-        "mu_ps": (5, 7, 11, 13),
+        "mu_ps": (5, 7, 11, 13, 17, 19),
     },
 }
 

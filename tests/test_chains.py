@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zqadd import chains
-from zqadd.core import BudgetExceededError, ResidueSet, affine_orbit, interval, necklaces, sumset, units
+from zqadd.core import BudgetExceededError, ResidueSet, affine_orbit, interval, sumset, units
 from zqadd.chains import (
     build_construction,
     compute_mu,
@@ -151,55 +151,110 @@ def test_equal_impact_is_affine_invariant(case):
     assert (chains._equal_impact_pair(mask, q) is None) == (chains._equal_impact_pair(image, q) is None)
 
 
-def _affine_key(mask, p):
-    return min(img for img, _, _ in affine_orbit(mask, p))
+def _affine_keys(masks, p):
+    # the least image of each affine class these masks meet
+    keys, left = set(), set(masks)
+    while left:
+        orbit = {img for img, _, _ in affine_orbit(left.pop(), p)}
+        keys.add(min(orbit))
+        left -= orbit
+    return keys
 
 
-@pytest.mark.parametrize("p", [7, 11, 13])
+def _layout(mask, p):
+    # the (run, gap) length pairs of the set read from 0, or None unless
+    # 0 starts a run
+    if not mask & 1 or mask >> (p - 1) & 1:
+        return None
+    pairs, x = [], 0
+    while x < p:
+        run = gap = 0
+        while x < p and mask >> x & 1:
+            run, x = run + 1, x + 1
+        while x < p and not mask >> x & 1:
+            gap, x = gap + 1, x + 1
+        pairs.append((run, gap))
+    return pairs
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 17, 19])
 def test_normalized_test_meets_every_witness_class(p):
-    # at every size, not only at mu: the test passes exactly the sets in
-    # which 1 is optimal and some A + d, d outside {0, 1}, lies inside
-    # A ∪ (A+1); each of them is a witness; and the necklaces it passes
-    # meet the same affine classes as all witnesses of that size
-    test = chains._normalized_witness_test(p)
+    # at every size, not only at mu: the run-layout search passes only
+    # witnesses, it meets the same affine classes as all witnesses of that
+    # size (found by brute force over every mask), and for p <= 13 it
+    # passes exactly the sets read from a greatest (run, gap) pair in which
+    # 1 is optimal and some A + d, d outside {0, 1}, lies in A ∪ (A+1)
+    witnesses = {k: [] for k in range(p + 1)}
+    for mask in range(1, (1 << p) - 1):
+        if chains._equal_impact_pair(mask, p) is not None:
+            witnesses[mask.bit_count()].append(mask)
     for k in range(2, p):
-        passed = []
-        for mask in necklaces(p, k):
+        passed, _ = chains._layout_witnesses(p, k)
+        assert len(set(passed)) == len(passed)
+        assert all(mask.bit_count() == k and chains._equal_impact_pair(mask, p) is not None for mask in passed)
+        assert _affine_keys(passed, p) == _affine_keys(witnesses[k], p), (p, k)
+        if p > 13:
+            continue
+        expect = []
+        for mask in range(1 << p):
+            pairs = _layout(mask, p)
+            if mask.bit_count() != k or pairs is None or pairs[0] != max(pairs):
+                continue
             A = set(ResidueSet(p, mask))
             alphas = {d: len({(a + d) % p for a in A} - A) for d in range(1, p)}
             union = A | {(a + 1) % p for a in A}
-            expect = alphas[1] == min(alphas.values()) and any(
-                {(a + d) % p for a in A} <= union for d in range(2, p)
-            )
-            assert test(mask) == expect, (p, sorted(A))
-            if expect:
-                assert chains._equal_impact_pair(mask, p) is not None, (p, sorted(A))
-                passed.append(mask)
-        witnesses = [
-            mask
-            for mask in range(1, 1 << p)
-            if mask.bit_count() == k and chains._equal_impact_pair(mask, p) is not None
-        ]
-        assert {_affine_key(m, p) for m in passed} == {_affine_key(m, p) for m in witnesses}, (p, k)
+            if alphas[1] == min(alphas.values()) and any({(a + d) % p for a in A} <= union for d in range(2, p)):
+                expect.append(mask)
+        assert sorted(passed) == expect, (p, k)
+
+
+@st.composite
+def layout_prefix(draw):
+    # A ∩ [0, L) for a set A of Z_p without p - 1, as the search knows it
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 23, 31]))
+    L = draw(st.integers(1, p))
+    return p, L, draw(st.integers(0, (1 << min(L, p - 1)) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout_prefix())
+def test_dead_differences_match_a_loop_over_d(case):
+    p, L, mask = case
+    A = {x for x in range(L) if mask >> x & 1}
+    out = set(range(L)) - A
+    not_s = {y for y in out if (y - 1) % p not in A}  # p - 1 is not in A
+    e = out - not_s
+    expect = {
+        d
+        for d in range(2, p)
+        if any((a + d) % p in not_s for a in A) or any((y - d) % p in out | {p - 1} for y in e)
+    }
+    every_d, dead = chains._dead_differences(p)
+    slot = {d: 1 << (d + 1) * 2 * p - 1 for d in range(2, p)}
+    assert every_d == sum(slot.values())
+    assert dead(mask, (1 << L) - 1) == sum(slot[d] for d in expect), (p, L, sorted(A))
 
 
 class TestMu:
-    # p -> (mu, witness_count, affine classes).  At p = 13 and 19 the
-    # witness class is fixed by a dilation of order 3 (composed with a
-    # translation): it holds 4 and 6 translation classes, not p - 1
+    # p -> (mu, witness_count, affine class representatives).  At p = 13
+    # and 19 the witness class is fixed by a dilation of order 3 (composed
+    # with a translation): it holds 4 and 6 translation classes, not p - 1.
+    # 29 and 31 agree with a scan over every fixed-density necklace
     VALUES = {
-        5: (4, 4, 1),
-        7: (4, 8, 1),
-        11: (8, 80, 1),
-        13: (7, 28, 1),
-        17: (10, 160, 1),
-        19: (9, 54, 1),
+        5: (4, 4, [(0, 1, 2, 3)]),
+        7: (4, 8, [(0, 1, 2, 4)]),
+        11: (8, 80, [(0, 1, 2, 3, 4, 5, 6, 8)]),
+        13: (7, 28, [(0, 1, 2, 3, 5, 6, 9)]),
+        17: (10, 160, [(0, 1, 2, 3, 4, 5, 7, 9, 10, 13)]),
+        19: (9, 54, [(0, 1, 2, 3, 4, 7, 12, 14, 15)]),
+        29: (16, 448, [(0, 1, 2, 3, 4, 5, 6, 8, 9, 11, 12, 15, 18, 22, 23, 24)]),
+        31: (15, 450, [(0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 13, 15, 19, 20, 25)]),
     }
 
     @pytest.mark.parametrize("p", sorted(VALUES))
     def test_frozen_values(self, p):
         rec = compute_mu(p)
-        assert (rec.mu, rec.witness_count, len(rec.witnesses_up_to_affine)) == self.VALUES[p]
+        assert (rec.mu, rec.witness_count, list(rec.witnesses_up_to_affine)) == self.VALUES[p]
         assert rec.bounds_hold
         assert rec.strategy == "bounded"
 
@@ -226,13 +281,14 @@ class TestMu:
         assert (rec.mu, rec.witness_count, len(rec.witnesses_up_to_affine)) == (12, 528, 2)
         assert rec.bounds_hold
 
-    def test_short_necklace_scan_is_caught(self, monkeypatch):
-        def short(n, d):
-            return itertools.islice(necklaces(n, d), 1, None)
-
-        monkeypatch.setattr(chains, "necklaces", short)
-        with pytest.raises(AssertionError, match="do not cover"):
-            compute_mu(7, "bounded")
+    def test_search_node_ceiling(self):
+        # 66,775 nodes with every cut; without one of them: 70,429 (p - 1
+        # in test (ii)), 76,159 (a tie on l_1 caps g), 80,222 (the check
+        # after a run), 89,778 (the check after a gap), 102,765 (the run
+        # bound), 105,564 (gap lengths), 121,187 (test (ii)), 157,777 (the
+        # rotation rule): losing a cut fails this test
+        rec = compute_mu(23)
+        assert rec.nodes <= 68_000
 
     def test_mu7_sqrt_bound_tight(self):
         rec = compute_mu(7)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from zqadd.chains import compute_mu
 from zqadd.cli import (
     EXIT_BUDGET,
     EXIT_COUNTEREXAMPLE,
@@ -183,6 +184,15 @@ class TestSubcommands:
         data = json.loads(out)
         assert code == EXIT_OK
         assert (data["mu"], data["witness_count"], data["strategy"]) == (7, 28, "bounded")
+
+    def test_mu_reports_search_effort_on_stderr(self, capsys):
+        # one JSON line on stderr; the record on stdout carries no timing
+        code, out, err = run(capsys, "mu", "--p", "13")
+        (line,) = err.splitlines()
+        effort = json.loads(line)
+        assert code == EXIT_OK and sorted(effort) == ["mu", "nodes", "p", "seconds"]
+        assert (effort["p"], effort["mu"], effort["nodes"]) == (13, 7, compute_mu(13).nodes)
+        assert effort["seconds"] >= 0 and not {"nodes", "seconds"} & set(json.loads(out))
 
     def test_chains_counterexample_exit(self, capsys):
         # an interval has no valid chain family for these differences
