@@ -503,7 +503,11 @@ def _affine_classes(witnesses: list[int], p: int) -> dict[tuple[int, ...], int]:
     form (the image whose sorted element tuple is lexicographically least)
     mapped to its number of distinct images."""
     classes: dict[tuple[int, ...], int] = {}
+    seen: set[int] = set()  # the images of the classes listed so far
     for mk in witnesses:
+        if mk in seen:
+            continue
         images = {img for img, _, _ in affine_orbit(mk, p)}
-        classes.setdefault(min(ResidueSet(p, img).elements for img in images), len(images))
+        seen |= images
+        classes[min(ResidueSet(p, img).elements for img in images)] = len(images)
     return classes

@@ -269,18 +269,17 @@ def sumset(A: ResidueSet, B: ResidueSet) -> ResidueSet:
 
 
 def sumset_mask(a_mask: int, b_mask: int, q: int) -> int:
-    # shift the larger mask by the elements of the smaller one
+    # shift the larger mask by the elements of the smaller one: bits
+    # [q, 2q) of (A | A << q) << b hold A + b
     if a_mask.bit_count() < b_mask.bit_count():
         a_mask, b_mask = b_mask, a_mask
+    doubled = a_mask | a_mask << q
     out = 0
-    full = (1 << q) - 1
-    t = 0
     while b_mask:
-        if b_mask & 1:
-            out |= (a_mask << t) | (a_mask >> (q - t)) if t else a_mask
-        b_mask >>= 1
-        t += 1
-    return out & full
+        low = b_mask & -b_mask
+        out |= doubled * low
+        b_mask ^= low
+    return out >> q & ((1 << q) - 1)
 
 
 def interval(a: int, b: int, q: int) -> ResidueSet:

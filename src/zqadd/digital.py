@@ -8,8 +8,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import accumulate, product
-from typing import Iterator, Optional
+from functools import lru_cache
+from itertools import accumulate
+from typing import Callable, Iterator, Optional
 
 from .core import (
     BudgetExceededError,
@@ -23,7 +24,6 @@ from .core import (
     interval,
     shift_table,
     smallest_prime_factor,
-    sumset_mask,
 )
 from .impact import m_threshold, xi_exact, xi_naive
 from .progressions import min_alpha
@@ -151,34 +151,82 @@ def carry_stats(w: DigitalSetWitness) -> CarryStats:
     m = w.m
     if w.q != m * m:
         raise ValueError("carry statistics are defined for q = m^2")
-    elems = w.set.elements
-    rmap = w.residue_map
-    carries = set()
-    nonzero = 0
-    for a1 in elems:
-        for a2 in elems:
-            s = a1 + a2
-            c = (s - rmap[s % m]) // m
-            carries.add(c)
-            if c != 0:
-                nonzero += 1
-    return CarryStats(w, tuple(sorted(carries)), nonzero)
+    bits = nonzero = 0
+    for pairs in _carry_pairs(m):
+        bits, nonzero = _add_carries(bits, nonzero, w.residue_map, pairs, m)
+    return CarryStats(w, tuple(c - m for c in range(3 * m) if bits >> c & 1), nonzero)
+
+
+@lru_cache(maxsize=None)
+def _carry_pairs(m: int) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+    """The digit pairs of Z_{m^2} by the deepest residue they read: entry d
+    holds (r1, r2, s, n) for r1 <= r2 with s = (r1 + r2) mod m and
+    max(r1, r2, s) = d.  The carry of (r1, r2) is fixed once lifts r1, r2 and
+    s are, and equals that of (r2, r1), so n = 2 stands for both orders
+    when r1 < r2 and n = 1 for the one order when r1 = r2."""
+    depths: list[list] = [[] for _ in range(m)]
+    for r1 in range(m):
+        for r2 in range(r1, m):
+            s = (r1 + r2) % m
+            depths[max(r2, s)].append((r1, r2, s, 1 if r1 == r2 else 2))
+    return tuple(map(tuple, depths))
+
+
+def _add_carries(bits: int, nonzero: int, lifts, pairs, m: int) -> tuple[int, int]:
+    """Fold the carries (l[r1] + l[r2] - l[s]) / m of these pairs, l the
+    lifts, into (bits, nonzero): a carry c lies in (-m, 2m) and sets bit
+    c + m, and nonzero counts the ordered pairs whose carry is not 0."""
+    for r1, r2, s, n in pairs:
+        c = (lifts[r1] + lifts[r2] - lifts[s]) // m
+        bits |= 1 << (c + m)
+        if c:
+            nonzero += n
+    return bits, nonzero
+
+
+def _digital_walk(
+    m: int, q: int, step: Optional[Callable] = None, state=None
+) -> Iterator[tuple[int, list[int], object]]:
+    """Depth first over the digital sets of (m, q): residue r = 0, 1, ...,
+    m-1 takes its lifts r, r + m, ..., r + q - m in turn, so the leaves
+    come in the order of product(range(q // m), repeat=m).  Yields (mask,
+    lifts, state) at each leaf; lifts is one list that the walk
+    overwrites, with lifts[r] the element congruent to r.  Once lifts[0..r]
+    are placed, the child's state is step(state, lifts, r), and a step
+    that returns None cuts the subtree below."""
+    if m < 1 or q % m != 0:
+        raise ValueError("digital sets need m | q")
+    if (q // m) ** m > DIGITAL_SET_BUDGET:
+        raise BudgetExceededError(f"{q // m}^{m} digital sets exceed budget {DIGITAL_SET_BUDGET}")
+    lifts = [0] * m
+
+    def walk(r: int, mask: int, state) -> Iterator[tuple[int, list[int], object]]:
+        if r == m:
+            yield mask, lifts, state
+            return
+        for e in range(r, q, m):
+            lifts[r] = e
+            child = state if step is None else step(state, lifts, r)
+            if child is None and step is not None:
+                continue
+            yield from walk(r + 1, mask | 1 << e, child)
+
+    return walk(0, 0, state)
+
+
+def _carry_walk(m: int) -> Iterator[tuple[int, list[int], tuple[int, int]]]:
+    """The digit sets of Z_{m^2} in walk order, each leaf's state the
+    (bits, nonzero) of _add_carries over all its pairs: the pairs whose
+    deepest residue is r are added once lift r is placed."""
+    pairs = _carry_pairs(m)
+    return _digital_walk(m, m * m, lambda state, lifts, r: _add_carries(*state, lifts, pairs[r], m), (0, 0))
 
 
 def enumerate_digital_sets(m: int, q: int) -> Iterator[DigitalSetWitness]:
     """All digital sets for (m, q), lexicographic in the chosen
     representatives; each residue class contributes one of its q/m lifts."""
-    if m < 1 or q % m != 0:
-        raise ValueError("digital sets need m | q")
-    reps = q // m
-    if reps**m > DIGITAL_SET_BUDGET:
-        raise BudgetExceededError(f"{reps}^{m} digital sets exceed budget {DIGITAL_SET_BUDGET}")
-    for choice in product(range(reps), repeat=m):
-        elems = tuple(r + j * m for r, j in zip(range(m), choice))
-        mask = 0
-        for e in elems:
-            mask |= 1 << e
-        yield DigitalSetWitness(ResidueSet(q, mask), m, elems)
+    for mask, lifts, _ in _digital_walk(m, q):
+        yield DigitalSetWitness(ResidueSet(q, mask), m, tuple(lifts))
 
 
 def sample_digital_set(m: int, q: int, rng: random.Random) -> ResidueSet:
@@ -222,9 +270,10 @@ class CarryExtremalityReport:
         """Both extremality claims in the orbit reading: every minimizer
         is an affine image of the corresponding canonical digit set.
 
-        The canonical representatives themselves need not attain the
-        minimum, because carry statistics under the standard lift are
-        not affine-invariant; the attainment flags are informational.
+        The interval digits must also attain the distinct-carry minimum.
+        Only the centered flag is informational: carry statistics under
+        the standard lift are not affine-invariant, and the centered
+        digits miss the nonzero-pair minimum at every m from 3 to 7.
         """
         return (
             self.distinct_minimizers_in_interval_orbit
@@ -244,21 +293,19 @@ def verify_carry_extremality(m: int) -> CarryExtremalityReport:
     distinct_minimizers: list[int] = []
     nonzero_minimizers: list[int] = []
     count = 0
-    for w in enumerate_digital_sets(m, q):
+    for mask, _, (bits, nz) in _carry_walk(m):
         count += 1
-        stats = carry_stats(w)
-        dc = len(stats.distinct_carries)
+        dc = bits.bit_count()
         if best_distinct is None or dc < best_distinct:
             best_distinct = dc
-            distinct_minimizers = [w.set.mask]
+            distinct_minimizers = [mask]
         elif dc == best_distinct:
-            distinct_minimizers.append(w.set.mask)
-        nz = stats.nonzero_pair_count
+            distinct_minimizers.append(mask)
         if best_nonzero is None or nz < best_nonzero:
             best_nonzero = nz
-            nonzero_minimizers = [w.set.mask]
+            nonzero_minimizers = [mask]
         elif nz == best_nonzero:
-            nonzero_minimizers.append(w.set.mask)
+            nonzero_minimizers.append(mask)
 
     interval_orbit = {img for img, _, _ in affine_orbit(canonical_interval_digits(m).mask, q)}
     centered_orbit = {img for img, _, _ in affine_orbit(centered_digits(m).mask, q)}
@@ -376,7 +423,10 @@ def verify_small_doubling_classification(m: int, q: int) -> SmallDoublingReport:
     Prefilter: only sets with |2A| <= min(2m, q - 1) are searched for a
     pair.  A cover (A+x) ∪ (A+y) has at most 2m elements, and at most
     q - 1 when it is a proper subset of Z_q; it contains 2A, so a set
-    with a larger |2A| has no pair.
+    with a larger |2A| has no pair.  The walk builds 2A lift by lift and
+    cuts a subtree as soon as the placed part P has |2P| > min(2m, q - 1),
+    counting the sets below it; the survivors and the cut sets must add
+    up to (q/m)^m.
 
     The properness requirement matters only at q = 2m, where {0,m} + A
     equals Z_q for every digital set (the two lifts of each residue class
@@ -386,42 +436,57 @@ def verify_small_doubling_classification(m: int, q: int) -> SmallDoublingReport:
         raise ValueError(f"(m={m}, q={q}) fails the prime condition")
     interval_mask = interval(0, m - 1, q).mask
     cover_max = min(2 * m, q - 1)
+    reps = q // m
+    full = (1 << q) - 1
+    cut = 0
+
+    def grow(state: tuple[int, int], lifts: list[int], r: int) -> Optional[tuple[int, int]]:
+        # 2(P ∪ {e}) = 2P ∪ (P+e) ∪ {2e}.  Every set A below has 2P ⊆ 2A,
+        # so once |2P| > cover_max none of them passes the prefilter.
+        nonlocal cut
+        p, pp = state
+        e = lifts[r]
+        pp |= (p << e) & full | p >> (q - e) | 1 << (2 * e % q)
+        if pp.bit_count() > cover_max:
+            cut += reps ** (m - r - 1)
+            return None
+        return p | 1 << e, pp
+
     solutions = []
-    scanned = survivors = 0
-    for w in enumerate_digital_sets(m, q):
-        scanned += 1
-        A = w.set
-        aa = sumset_mask(A.mask, A.mask, q)
-        if aa.bit_count() > cover_max:
-            continue
+    survivors = 0
+    for mask, lifts, (_, aa) in _digital_walk(m, q, grow, (0, 0)):
         survivors += 1
-        pair = _find_covering_pair(A.mask, aa, q)
+        pair = _find_covering_pair(mask, aa, q)
         if pair is None:
             continue
         # the first (c, s) with c*A + s = [0, m-1], if A is an affine interval image
-        normal = next(({"scale": c, "shift": s} for c, s in affine_maps(A.mask, interval_mask, q)), None)
-        solutions.append(
-            {
-                "elements": list(A.elements),
-                "pair": pair,
-                "normal_form": normal,
-            }
-        )
+        normal = next(({"scale": c, "shift": s} for c, s in affine_maps(mask, interval_mask, q)), None)
+        solutions.append({"elements": sorted(lifts), "pair": pair, "normal_form": normal})
+    if survivors + cut != reps**m:
+        raise AssertionError(f"{survivors} surviving and {cut} cut sets do not cover the {reps**m} digital sets")
     all_interval = all(s["normal_form"] is not None for s in solutions)
     return SmallDoublingReport(
-        m, q, scanned, survivors, solutions, all_interval, LITERAL_CONCLUSION_NOTE
+        m, q, survivors + cut, survivors, solutions, all_interval, LITERAL_CONCLUSION_NOTE
     )
 
 
 def _find_covering_pair(a_mask: int, aa: int, q: int) -> Optional[tuple[int, int]]:
+    """The first x <= y, x ascending and then y, with 2A ⊆ (A+x) ∪ (A+y)
+    and the union a proper subset of Z_q.  The union has 2|A| - |A ∩ (A+d)|
+    elements, d = y - x, and must hold 2A, so only the steps d with
+    |A ∩ (A+d)| <= 2|A| - |2A| are tried."""
     full = (1 << q) - 1
     shifts = shift_table(a_mask, q)
+    slack = 2 * a_mask.bit_count() - aa.bit_count()
+    steps = [d for d, sd in enumerate(shifts) if (a_mask & sd).bit_count() <= slack]
     for x in range(q):
         sx = shifts[x]
-        for y in range(x, q):
-            cover = sx | shifts[y]
+        for d in steps:
+            if x + d >= q:
+                break
+            cover = sx | shifts[x + d]
             if cover != full and aa & ~cover == 0:
-                return (x, y)
+                return (x, x + d)
     return None
 
 

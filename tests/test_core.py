@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zqadd import digital
 from zqadd.core import (
@@ -29,6 +31,7 @@ from zqadd.core import (
     shift_mask,
     shift_table,
     sumset,
+    sumset_mask,
     translation_classes,
     units,
 )
@@ -86,6 +89,30 @@ class TestSumset:
     def test_ap_case(self):
         # intervals add like intervals: size |A| + |B| - 1
         assert sumset(interval(0, 4, 12), S(12, [0, 1])) == interval(0, 5, 12)
+
+
+def per_position_sumset(a_mask, b_mask, q):
+    # the loop sumset_mask replaced: test every bit position of B up to its top bit
+    out = 0
+    for t in range(b_mask.bit_length()):
+        if b_mask >> t & 1:
+            out |= (a_mask << t) | (a_mask >> (q - t))
+    return out & ((1 << q) - 1)
+
+
+@st.composite
+def mask_pair(draw):
+    q = draw(st.integers(1, 1024))
+    sparse = st.sets(st.integers(0, q - 1), max_size=min(q, 40)).map(lambda xs: sum(1 << x for x in xs))
+    masks = st.one_of(sparse, st.integers(0, (1 << q) - 1))
+    return draw(masks), draw(masks), q
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask_pair())
+def test_sumset_mask_equals_the_per_position_loop(case):
+    a, b, q = case
+    assert sumset_mask(a, b, q) == per_position_sumset(a, b, q) == per_position_sumset(b, a, q)
 
 
 class TestInterval:

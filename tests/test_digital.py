@@ -2,13 +2,13 @@
 
 import math
 import random
+from itertools import product
 
 import pytest
 
 from zqadd import digital
-from zqadd.core import BudgetExceededError, ResidueSet, interval, sumset_mask
+from zqadd.core import BudgetExceededError, ResidueSet, interval, shift_table
 from zqadd.digital import (
-    _find_covering_pair,
     canonical_interval_digits,
     carry_stats,
     centered_digits,
@@ -82,6 +82,14 @@ class TestCarryStats:
         with pytest.raises(ValueError):
             carry_stats(is_digital(S(8, [0, 3])))
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_walk_carries_equal_the_pair_loop(self, m):
+        for mask, lifts, (bits, nonzero) in digital._carry_walk(m):
+            carries = [(a1 + a2 - lifts[(a1 + a2) % m]) // m for a1 in lifts for a2 in lifts]
+            assert mask == sum(1 << a for a in lifts)
+            assert [c - m for c in range(3 * m) if bits >> c & 1] == sorted(set(carries))
+            assert nonzero == sum(1 for c in carries if c)
+
 
 class TestEnumeration:
     def test_counts(self):
@@ -96,6 +104,14 @@ class TestEnumeration:
     def test_all_digital(self):
         for w in enumerate_digital_sets(3, 9):
             assert is_digital(w.set) is not None
+
+    def test_walk_order_is_product_order(self):
+        for q in range(1, 65):
+            for m in (m for m in range(1, q + 1) if q % m == 0 and (q // m) ** m <= 5_000):
+                expected = [[r + j * m for r, j in enumerate(choice)] for choice in product(range(q // m), repeat=m)]
+                leaves = [(mask, list(lifts)) for mask, lifts, _ in digital._digital_walk(m, q)]
+                assert [lifts for _, lifts in leaves] == expected, (m, q)
+                assert [mask for mask, _ in leaves] == [sum(1 << e for e in lifts) for lifts in expected], (m, q)
 
 
 class TestCarryExtremality:
@@ -138,6 +154,17 @@ class TestImpactBound:
             verify_digital_impact_bound(6, 36, samples=30, seed=43)
 
 
+def first_covering_pair(shifts, aa, q):
+    """The first (x, y), x <= y, with 2A ⊆ (A+x) ∪ (A+y) ≠ Z_q, tried one by one."""
+    full = (1 << q) - 1
+    for x in range(q):
+        for y in range(x, q):
+            cover = shifts[x] | shifts[y]
+            if cover != full and aa & ~cover == 0:
+                return (x, y)
+    return None
+
+
 class TestSmallDoubling:
     def test_interval_is_solution(self):
         m = 4
@@ -173,12 +200,17 @@ class TestSmallDoubling:
         ],
     )
     def test_prefilter_loses_no_solution(self, m, q):
-        # every digital set goes to the pair search, without the |2A| prefilter
+        # every digital set goes to a plain pair search, without the |2A|
+        # prefilter, the walk's cut or the pair search's step filter
         target = set(range(m))
         expected = []
-        for w in enumerate_digital_sets(m, q):
-            A = w.set
-            pair = _find_covering_pair(A.mask, sumset_mask(A.mask, A.mask, q), q)
+        for choice in product(range(q // m), repeat=m):
+            elems = [r + j * m for r, j in enumerate(choice)]
+            shifts = shift_table(sum(1 << a for a in elems), q)
+            aa = 0
+            for a in elems:
+                aa |= shifts[a]
+            pair = first_covering_pair(shifts, aa, q)
             if pair is None:
                 continue
             normal = next(
@@ -187,14 +219,25 @@ class TestSmallDoubling:
                     for c in range(1, q)
                     if math.gcd(c, q) == 1
                     for t in range(q)
-                    if {(c * a + t) % q for a in A.elements} == target
+                    if {(c * a + t) % q for a in elems} == target
                 ),
                 None,
             )
-            expected.append({"elements": list(A.elements), "pair": pair, "normal_form": normal})
+            expected.append({"elements": sorted(elems), "pair": pair, "normal_form": normal})
         rep = verify_small_doubling_classification(m, q)
         assert rep.sets_scanned == (q // m) ** m
         assert rep.solutions == expected
+
+    def test_a_dropped_subtree_is_caught(self, monkeypatch):
+        walk = digital._digital_walk
+
+        def dropping(m, q, step, state):
+            # cuts the sets that lift residue 0 to m, without the verifier's step counting them
+            return walk(m, q, lambda st, lifts, r: None if r == 0 and lifts[0] == m else step(st, lifts, r), state)
+
+        monkeypatch.setattr(digital, "_digital_walk", dropping)
+        with pytest.raises(AssertionError, match="do not cover"):
+            verify_small_doubling_classification(8, 16)
 
 
 def test_one_budget_bounds_every_digital_sweep(monkeypatch):
