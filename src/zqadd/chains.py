@@ -12,7 +12,7 @@ from .core import (
     BudgetExceededError,
     ResidueSet,
     Subgroup,
-    affine_orbit,
+    affine_images,
     coset_runs,
     next_prime,
     seminorm,
@@ -507,7 +507,7 @@ def _affine_classes(witnesses: list[int], p: int) -> dict[tuple[int, ...], int]:
     for mk in witnesses:
         if mk in seen:
             continue
-        images = {img for img, _, _ in affine_orbit(mk, p)}
+        images = affine_images(mk, p)
         seen |= images
         classes[min(ResidueSet(p, img).elements for img in images)] = len(images)
     return classes

@@ -92,13 +92,6 @@ class ResidueSet:
     def __contains__(self, x: int) -> bool:
         return bool(self.mask >> (x % self.q) & 1)
 
-    def shifted(self, t: int) -> "ResidueSet":
-        return ResidueSet(self.q, shift_mask(self.mask, t, self.q))
-
-    def dilated(self, c: int) -> "ResidueSet":
-        """The set c*A.  c need not be invertible."""
-        return ResidueSet.from_elements(self.q, ((c * e) % self.q for e in self.elements))
-
     def complement(self) -> "ResidueSet":
         return ResidueSet(self.q, ((1 << self.q) - 1) ^ self.mask)
 
@@ -293,64 +286,40 @@ def interval(a: int, b: int, q: int) -> ResidueSet:
     return ResidueSet(q, mask)
 
 
-def necklaces(n: int, d: int) -> Iterator[int]:
-    """The numerically least rotation of every translation class of
-    d-subsets of Z_n, ascending, one at a time.
-
-    Fredricksen-Kessler-Maiorana prenecklace search with a ones-count
-    prune, run from an explicit stack.  The n-bit mask is read as the
-    string a_1..a_n with a_1 its top bit, so lexicographic order on strings
-    is numeric order on masks and the lex-least rotation (the necklace) is
-    the least mask.  A prefix of length t-1 with period p keeps a_{t-p} in
-    bit p-1.
-    """
-    if not 0 <= d <= n:
-        return
-    spare = n - d  # zeros a necklace has room for
-    stack = [(0, 0, 1, 0)]  # (prefix mask, prefix length, period, ones)
-    while stack:
-        mask, length, p, ones = stack.pop()
-        if length == n:
-            if n % p == 0:  # prenecklace of period p | n: a necklace
-                yield mask
-            continue
-        t = length + 1
-        # a necklace with a 0 and a 1 ends in 1 (rotating a final 0 to the
-        # front lengthens the leading zero run), so its d-th one is a_n
-        one_ok = ones < d and (ones + 1 < d or t == n)
-        if mask >> (p - 1) & 1:  # a_{t-p} = 1: a_t = 1 only
-            if one_ok:
-                stack.append((mask << 1 | 1, t, p, ones + 1))
-        else:  # a_t = 0 keeps the period, a_t = 1 makes the prefix Lyndon
-            if one_ok:
-                stack.append((mask << 1 | 1, t, t, ones + 1))
-            if length - ones < spare:
-                stack.append((mask << 1, t, p, ones))
-
-
 @lru_cache(maxsize=None)
 def translation_classes(q: int) -> tuple[tuple[int, int], ...]:
     """Each class {S+t : t in Z_q} of nonempty subsets of Z_q, as (least
-    rotation, orbit size), ascending; the orbit size is q / |period group|."""
-    out = [
-        (mask, q // period_group(ResidueSet(q, mask)).order)
-        for d in range(1, q + 1)
-        for mask in necklaces(q, d)
-    ]
-    return tuple(sorted(out))
+    rotation, orbit size), ascending.
+
+    Each mask S is rotated to S+1, S+2, ... until the first rotation <= S.
+    S is the least of its class exactly when that rotation is S itself, and
+    its index t is then the least period of S, so the class has t members.
+    """
+    full = (1 << q) - 1
+    out = []
+    for mask in range(1, 1 << q):
+        doubled = mask | mask << q
+        for t in range(1, q + 1):
+            image = doubled >> (q - t) & full
+            if image <= mask:
+                break
+        if image == mask:
+            out.append((mask, t))
+    return tuple(out)
 
 
-def affine_orbit(mask: int, q: int) -> Iterator[tuple[int, int, int]]:
-    """Every image c*S + s of the set S with this mask, as (image mask, c, s):
-    c over units(q) ascending, and s ascending within each c.  An image
-    reached by several maps is yielded once per map."""
+def _dilate(elems: list[int], c: int, q: int) -> int:
+    """The mask of c*S for the set S with these elements."""
+    out = 0
+    for x in elems:
+        out |= 1 << (c * x % q)
+    return out
+
+
+def affine_images(mask: int, q: int) -> set[int]:
+    """The distinct images c*S + s, c a unit, of the set S with this mask."""
     elems = [x for x in range(q) if mask >> x & 1]
-    for c in units(q):
-        dilate = 0
-        for x in elems:
-            dilate |= 1 << (c * x % q)
-        for s, image in enumerate(shift_table(dilate, q)):
-            yield image, c, s
+    return {image for c in units(q) for image in shift_table(_dilate(elems, c, q), q)}
 
 
 def affine_maps(mask: int, target: int, q: int) -> Iterator[tuple[int, int]]:
@@ -367,10 +336,7 @@ def affine_maps(mask: int, target: int, q: int) -> Iterator[tuple[int, int]]:
     for c in units(q):
         if (rotations[c] & ~target).bit_count() != alpha_1:
             continue
-        dilate = 0
-        for x in elems:
-            dilate |= 1 << (c * x % q)
-        for s, image in enumerate(shift_table(dilate, q)):
+        for s, image in enumerate(shift_table(_dilate(elems, c, q), q)):
             if image == target:
                 yield c, s
 

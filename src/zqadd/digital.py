@@ -17,8 +17,8 @@ from .core import (
     ModulusMismatchError,
     ResidueSet,
     Subgroup,
+    affine_images,
     affine_maps,
-    affine_orbit,
     coset_counts,
     factorize,
     interval,
@@ -307,8 +307,8 @@ def verify_carry_extremality(m: int) -> CarryExtremalityReport:
         elif nz == best_nonzero:
             nonzero_minimizers.append(mask)
 
-    interval_orbit = {img for img, _, _ in affine_orbit(canonical_interval_digits(m).mask, q)}
-    centered_orbit = {img for img, _, _ in affine_orbit(centered_digits(m).mask, q)}
+    interval_orbit = affine_images(canonical_interval_digits(m).mask, q)
+    centered_orbit = affine_images(centered_digits(m).mask, q)
     interval_stats = carry_stats(is_digital(canonical_interval_digits(m)))
     centered_stats = carry_stats(is_digital(centered_digits(m)))
     return CarryExtremalityReport(

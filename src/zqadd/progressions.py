@@ -202,12 +202,6 @@ class StabilityReport:
     status: str  # stable | unstable | indeterminate
     witness: Optional[tuple[int, ResidueSet]] = None
 
-    @property
-    def stable(self) -> Optional[bool]:
-        if self.status == "indeterminate":
-            return None
-        return self.status == "stable"
-
 
 STABILITY_BUDGET = 2_000_000  # most modifications of A that stability enumerates
 

@@ -40,8 +40,7 @@ from .progressions import alpha, decompose, min_alpha
 # scale knobs per profile
 _SCALE = {
     "smoke": {
-        "oracle_q_max": 8,
-        "identity_q_max": 8,
+        "q_max": 8,
         "identity_samples": 500,
         "boundary_samples": 100,
         "ineq_q_max": 9,
@@ -55,8 +54,7 @@ _SCALE = {
         "mu_ps": (5, 7),
     },
     "desk": {
-        "oracle_q_max": 12,
-        "identity_q_max": 12,
+        "q_max": 12,
         "identity_samples": 10_000,
         "boundary_samples": 1_000,
         "ineq_q_max": 12,
@@ -70,8 +68,7 @@ _SCALE = {
         "mu_ps": (5, 7, 11, 13),
     },
     "deep": {
-        "oracle_q_max": 13,
-        "identity_q_max": 13,
+        "q_max": 13,
         "identity_samples": 100_000,
         "boundary_samples": 10_000,
         "ineq_q_max": 14,
@@ -154,8 +151,8 @@ def _oracle_chunk(args: tuple[int, int, int]) -> tuple[int, list]:
 
 def suite_oracle_equivalence(cfg: RunConfig) -> dict:
     scale = _SCALE[cfg.profile]
-    (total,), bad = _sweep(_oracle_chunk, _proper_masks(range(1, scale["oracle_q_max"] + 1)), 16, cfg.workers)
-    return _suite("oracle_equivalence", total, bad, q_max=scale["oracle_q_max"])
+    (total,), bad = _sweep(_oracle_chunk, _proper_masks(range(1, scale["q_max"] + 1)), 16, cfg.workers)
+    return _suite("oracle_equivalence", total, bad, q_max=scale["q_max"])
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +198,7 @@ def _identity_chunk(args: tuple[int, int, int]) -> tuple[int, list]:
 
 def suite_identities(cfg: RunConfig) -> dict:
     scale = _SCALE[cfg.profile]
-    q_values = range(2, scale["identity_q_max"] + 1)
+    q_values = range(2, scale["q_max"] + 1)
     (total,), bad = _sweep(_identity_chunk, _proper_masks(q_values), 16, cfg.workers)
 
     rng = cfg.rng("identities")
@@ -213,7 +210,7 @@ def suite_identities(cfg: RunConfig) -> dict:
         v = _identity_violation(A, t)
         if v is not None:
             bad.append(v)
-    return _suite("identities", total, bad, q_max=scale["identity_q_max"])
+    return _suite("identities", total, bad, q_max=scale["q_max"])
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +278,9 @@ def _inequality_instance(
             }
         )
     if a_sidon is None:
-        a_sidon = sidon_check(A).is_sidon
+        a_sidon = sidon_check(A)
     if b_sidon is None:
-        b_sidon = sidon_check(B).is_sidon
+        b_sidon = sidon_check(B)
     for X, Y, y_sidon in ((A, B, b_sidon), (B, A, a_sidon and A != B)):
         if y_sidon:
             sb = sidon_sumset_bound_check(X, Y)
@@ -303,7 +300,7 @@ def _inequality_instance(
 @lru_cache(maxsize=None)
 def _sidon_flags(q: int) -> tuple[bool, ...]:
     """Whether each translation class of Z_q is a class of Sidon sets."""
-    return tuple(sidon_check(ResidueSet(q, rep)).is_sidon for rep, _ in translation_classes(q))
+    return tuple(sidon_check(ResidueSet(q, rep)) for rep, _ in translation_classes(q))
 
 
 def _pluennecke_check(A: ResidueSet, B: ResidueSet, bad: list, skipped: list) -> int:

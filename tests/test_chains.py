@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zqadd import chains
-from zqadd.core import BudgetExceededError, ResidueSet, affine_orbit, interval, sumset, units
+from zqadd.core import BudgetExceededError, ResidueSet, affine_images, interval, sumset, units
 from zqadd.chains import (
     build_construction,
     compute_mu,
@@ -155,7 +155,7 @@ def _affine_keys(masks, p):
     # the least image of each affine class these masks meet
     keys, left = set(), set(masks)
     while left:
-        orbit = {img for img, _, _ in affine_orbit(left.pop(), p)}
+        orbit = affine_images(left.pop(), p)
         keys.add(min(orbit))
         left -= orbit
     return keys

@@ -101,17 +101,26 @@ def test_no_unused_top_level_definitions():
 
 
 def reached_only_by_tests(modules: dict[str, str], text: str) -> list[str]:
-    """Public top-level functions and classes of the modules (name -> source)
-    that text, which holds the modules too, names only inside their own
-    definition."""
+    """Public top-level functions and classes of the modules (name -> source),
+    and public methods and properties of those classes, that text, which
+    holds the modules too, names only inside their own definition: a function
+    or class by its name, a method or property as .name."""
     out = []
     for path, source in modules.items():
         for node in ast.parse(source).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                word = rf"\b{node.name}\b"
-                own = ast.get_source_segment(source, node)
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            names = [(node, rf"\b{node.name}\b", node.name)]
+            if isinstance(node, ast.ClassDef):
+                names += [
+                    (method, rf"\.{method.name}\b", f"{node.name}.{method.name}")
+                    for method in node.body
+                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
+                ]
+            for defn, word, name in names:
+                own = ast.get_source_segment(source, defn)
                 if len(re.findall(word, text)) == len(re.findall(word, own)):
-                    out.append(f"{path}:{node.lineno}: {node.name}")
+                    out.append(f"{path}:{defn.lineno}: {name}")
     return out
 
 
@@ -122,6 +131,17 @@ def test_checker_finds_a_name_only_tests_reach():
     )
     caller = "reached()\n"
     assert reached_only_by_tests({"m.py": source}, source + caller) == ["m.py:5: recursive", "m.py:9: Alone"]
+
+
+def test_checker_finds_a_method_only_tests_reach():
+    source = (
+        "class Kept:\n    def reached(self):\n        pass\n\n"
+        "    @property\n    def unread(self):\n        return 1\n\n"
+        "    def again(self):\n        return self.again()\n\n"
+        "    def _private(self):\n        pass\n"
+    )
+    caller = "Kept().reached()\n"
+    assert reached_only_by_tests({"m.py": source}, source + caller) == ["m.py:6: Kept.unread", "m.py:9: Kept.again"]
 
 
 def test_only_awaiting_names_are_reached_only_by_tests():
