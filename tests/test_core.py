@@ -280,6 +280,21 @@ class TestKernels:
         for mask in range(1 << q):
             assert affine_images(mask, q) == set(brute_affine_maps(mask, q).values())
 
+    @pytest.mark.parametrize("q", [2, 7, 9, 12])
+    def test_affine_orbit_every_map_once(self, q):
+        # the images are those of c*S + s, and affine_maps onto them hands out
+        # every (c, s) exactly once over the whole orbit
+        rng = random.Random(q)
+        for _ in range(5):
+            mask = rng.randrange(1 << q)
+            elems = elements_of(mask, q)
+            images = affine_images(mask, q)
+            assert images == {
+                sum(1 << ((c * x + s) % q) for x in elems) for c in units(q) for s in range(q)
+            }
+            walk = sorted(cs for image in images for cs in affine_maps(mask, image, q))
+            assert walk == [(c, s) for c in units(q) for s in range(q)]
+
     def test_affine_images_of_z1(self):
         assert affine_images(1, 1) == {1}
 
@@ -295,6 +310,21 @@ class TestKernels:
             for target in targets:
                 expected = [cs for cs, image in maps.items() if image == target]
                 assert list(affine_maps(mask, target, q)) == expected
+
+    @pytest.mark.parametrize("q", [7, 9, 12])
+    def test_affine_orbit_lex_least_image(self, q):
+        rng = random.Random(q)
+        for _ in range(10):
+            mask = rng.randrange(1, 1 << q)
+            elems = sorted(elements_of(mask, q))
+            brute = min(
+                tuple(sorted((c * x + s) % q for x in elems))
+                for c in range(1, q)
+                if math.gcd(c, q) == 1
+                for s in range(q)
+            )
+            least = min(tuple(sorted(elements_of(img, q))) for img in affine_images(mask, q))
+            assert least == brute
 
     def test_coset_runs(self):
         # cosets of <4> in Z_12: {0,4,8} inside S; {1,5,9} meets S in 5,9
