@@ -11,7 +11,6 @@ from typing import Callable, Optional
 from .core import (
     BudgetExceededError,
     ResidueSet,
-    Subgroup,
     affine_images,
     coset_runs,
     next_prime,
@@ -99,7 +98,6 @@ def extract_chain_structure(
     if contained_in_coset(A) is not None:
         raise ValueError("A must not be contained in a coset of a proper subgroup")
     order = q // d1
-    H = Subgroup(q, order)
     comp = A.complement().mask
     full_cosets, runs = coset_runs(comp, d1, q)
     z = d1 - len(full_cosets)

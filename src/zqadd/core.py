@@ -229,14 +229,7 @@ class Subgroup:
 
     @property
     def mask(self) -> int:
-        g = self.generator
-        m = 0
-        for j in range(self.order):
-            m |= 1 << (j * g)
-        return m
-
-    def as_set(self) -> ResidueSet:
-        return ResidueSet(self.q, self.mask)
+        return subgroup_mask(self.q, self.order)
 
     @property
     def is_trivial(self) -> bool:
@@ -245,6 +238,13 @@ class Subgroup:
     @property
     def is_full(self) -> bool:
         return self.order == self.q
+
+
+@lru_cache(maxsize=1024)
+def subgroup_mask(q: int, order: int) -> int:
+    """The mask of the subgroup of Z_q of this order: bits 0, g, 2g, ... with
+    g = q/order, the base-2^g repunit (2^q - 1)/(2^g - 1)."""
+    return ((1 << q) - 1) // ((1 << (q // order)) - 1)
 
 
 def proper_nontrivial_subgroups(q: int) -> list[Subgroup]:
@@ -382,13 +382,19 @@ def period_group(S: ResidueSet) -> Subgroup:
     """H = {t : S + t = S}, the stabilizer of S under translation."""
     if S.mask == 0:
         raise ValueError("period group of the empty set is undefined")
-    q = S.q
+    return Subgroup(S.q, _period_order(S.mask, S.q))
+
+
+def _period_order(mask: int, q: int) -> int:
     # every period group is <d> for a divisor d; the smallest divisor that
-    # fixes S generates the whole stabilizer
-    for d in divisors(q):
-        if shift_mask(S.mask, d, q) == S.mask:
-            return Subgroup(q, q // d)
-    raise AssertionError("unreachable: q is always a period")
+    # fixes S generates the whole stabilizer.  Bits d .. d+q-1 of S | S << q
+    # hold S - d, which is S exactly when S + d is.
+    full = (1 << q) - 1
+    doubled = mask | mask << q
+    for d in divisors(q):  # d = q always fixes S
+        if doubled >> d & full == mask:
+            break
+    return q // d
 
 
 @dataclass(frozen=True)
@@ -404,12 +410,17 @@ def kneser_check(A: ResidueSet, B: ResidueSet) -> KneserReport:
     A._check_same(B)
     if A.mask == 0 or B.mask == 0:
         raise ValueError("kneser_check needs nonempty sets")
-    S = sumset(A, B)
-    H = period_group(S)
-    h_set = H.as_set()
-    lhs = S.size
-    rhs = sumset(A, h_set).size + sumset(B, h_set).size - H.order
-    return KneserReport(lhs >= rhs, H, lhs, rhs)
+    q = A.q
+    s = sumset_mask(A.mask, B.mask, q)
+    order = _period_order(s, q)
+    if order == 1:  # X + {0} = X
+        rhs = A.size + B.size - 1
+    elif order == q:  # X + Z_q = Z_q
+        rhs = q
+    else:
+        h = subgroup_mask(q, order)
+        rhs = sumset_mask(A.mask, h, q).bit_count() + sumset_mask(B.mask, h, q).bit_count() - order
+    return KneserReport(s.bit_count() >= rhs, Subgroup(q, order), s.bit_count(), rhs)
 
 
 @dataclass(frozen=True)

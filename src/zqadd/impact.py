@@ -7,7 +7,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Optional
 
 from .core import (
@@ -52,6 +52,15 @@ def xi_naive(A: ResidueSet, n: int) -> ImpactResult:
 
     Fixing 0 in B loses nothing: |A + (B+t)| = |A+B|.  The witness is the
     lexicographically least minimizer containing 0.
+
+    B = {0} ∪ C runs over the (n-1)-subsets C of 1..q-1 in lexicographic
+    order: a prefix (a head from itertools.combinations, then its last
+    element) and a tail of the last r = min(3, n-1, q-n) elements.  The
+    unions of A's shifts over every r-tail are built once, in lexicographic
+    order: C(q-1, r) <= C(q-1, n-1) entries since r <= min(n-1, q-n), and at
+    most C(q-1, 3) once q >= 7.  The tails above a prefix ending at p are the
+    last C(q-1-p, r), so each prefix scores one suffix slice, and the first
+    minimizer met is the lexicographically least.
     """
     res = _trivial_impact(A, n)
     if res is not None:
@@ -61,22 +70,30 @@ def xi_naive(A: ResidueSet, n: int) -> ImpactResult:
         raise BudgetExceededError(
             f"xi_naive budget exceeded: C({q - 1},{n - 1}) combinations"
         )
-    shifts = [shift_mask(A.mask, t, q) for t in range(q)]
-    base = A.mask
-    best = q + 1
-    best_comb: tuple[int, ...] = ()
+    shifts = shift_table(A.mask, q)
+    r = min(3, n - 1, q - n)
+    tails = shifts[1:] if r else [0]
+    for j in range(1, r):  # the j-subsets of a+1..q-1 are the last C(q-1-a, j)
+        tails = [shifts[a] | u for a in range(1, q) for u in tails[len(tails) - math.comb(q - 1 - a, j):]]
+    above = [len(tails) - math.comb(q - 1 - p, r) for p in range(q)]
+    value = q + 1
     nodes = 0
-    for comb in combinations(range(1, q), n - 1):
-        m = base
-        for t in comb:
-            m |= shifts[t]
-        nodes += 1
-        v = m.bit_count()
-        if v < best:
-            best = v
-            best_comb = comb
-    witness = ResidueSet.from_elements(q, (0,) + best_comb)
-    return ImpactResult(n, best, witness, nodes, True)
+    k = n - 1 - r  # a prefix is a head of k-1 elements and a last element
+    for head in combinations(range(1, q - r - 1), max(k - 1, 0)):
+        m_head = A.mask
+        top = 0
+        for top in head:
+            m_head |= shifts[top]
+        for last in range(top + 1, q - r) if k else (0,):  # k = 0: OR-ing shifts[0] = A adds nothing
+            m = m_head | shifts[last]
+            scores = [(m | u).bit_count() for u in tails[above[last]:]]
+            nodes += len(scores)
+            if (v := min(scores)) < value:
+                value, best = v, (head, last, above[last] + scores.index(v))
+    head, last, index = best
+    prefix = head + (last,) if k else ()
+    tail = next(islice(combinations(range(1, q), r), index, None))
+    return ImpactResult(n, value, ResidueSet.from_elements(q, (0,) + prefix + tail), nodes, True)
 
 
 def xi_search(A: ResidueSet, n: int, node_budget: Optional[int] = None) -> ImpactResult:
@@ -165,11 +182,17 @@ def xi_exact(A: ResidueSet, n: int) -> int:
 
 
 def sidon_check(B: ResidueSet) -> bool:
-    """B is Sidon iff |B ∩ (B+t)| <= 1 for every t != 0, iff |2B| = n(n+1)/2."""
+    """B is Sidon iff |B ∩ (B+t)| <= 1 for every t != 0, iff |2B| = n(n+1)/2.
+
+    A Sidon set of n elements has n(n-1) <= q-1: |B ∩ (B+t)| counts the
+    ordered pairs b != b' with b - b' = t, so these counts sum to n(n-1)
+    over the q-1 values t != 0, each at most 1.  Larger sets fail at once.
+    """
     if B.mask == 0:
         raise ValueError("sidon_check needs a nonempty set")
     q = B.q
-    return all((B.mask & shift_mask(B.mask, t, q)).bit_count() < 2 for t in range(1, q))
+    n = B.mask.bit_count()
+    return n * (n - 1) <= q - 1 and all((B.mask & shift_mask(B.mask, t, q)).bit_count() < 2 for t in range(1, q))
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,11 @@ from .core import (
     Subgroup,
     affine_maps,
     coset_counts,
-    coset_runs,
     interval,
     proper_nontrivial_subgroups,
     shift_mask,
     shift_table,
+    subgroup_mask,
 )
 
 
@@ -65,9 +65,23 @@ def decompose(A: ResidueSet, t: int) -> ApDecomposition:
         raise ValueError("difference must be nonzero")
     if A.mask == 0:
         raise ValueError("cannot decompose the empty set")
-    full_cosets, runs = coset_runs(A.mask, t, q)
-    progressions = sorted((run[0], len(run)) for run in runs)
-    return ApDecomposition(A, t, tuple(full_cosets), tuple(progressions))
+    mask = A.mask
+    g = math.gcd(t, q)
+    h = subgroup_mask(q, q // g)
+    # the coset r + <g>, r < g, has its elements r, r+g, ... below q
+    full_cosets = tuple(r for r in range(g) if mask >> r & h == h)
+    # x starts a maximal t-progression iff x is in A and x - t is not; a
+    # full coset has no start, and every other run ends before it wraps
+    starts = mask & ~shift_mask(mask, t, q)
+    progressions = []
+    while starts:
+        x = start = (starts & -starts).bit_length() - 1
+        starts &= starts - 1
+        length = 1
+        while mask >> (x := (x + t) % q) & 1:
+            length += 1
+        progressions.append((start, length))
+    return ApDecomposition(A, t, full_cosets, tuple(progressions))
 
 
 def alpha(A: ResidueSet, t: int) -> int:

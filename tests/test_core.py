@@ -164,6 +164,30 @@ class TestKneser:
             assert kneser_check(A, B).holds
 
 
+def kneser_by_sets(q, A, B, stabilizers):
+    """(lhs, H, rhs) of Kneser's bound with plain sets: S = A+B, H its
+    stabilizer {t : S+t = S} (memoized per S), rhs |A+H| + |B+H| - |H|."""
+    S = frozenset((a + b) % q for a in A for b in B)
+    if S not in stabilizers:
+        stabilizers[S] = {t for t in range(q) if {(s + t) % q for s in S} == S}
+    H = stabilizers[S]
+    a_h = {(a + h) % q for a in A for h in H}
+    b_h = {(b + h) % q for b in B for h in H}
+    return len(S), H, len(a_h) + len(b_h) - len(H)
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_kneser_check_matches_sets_on_every_pair(q):
+    sets = [(ResidueSet(q, mask), elements_of(mask, q)) for mask in range(1, 1 << q)]
+    stabilizers = {}
+    for A, a in sets:
+        for B, b in sets:
+            lhs, H, rhs = kneser_by_sets(q, a, b, stabilizers)
+            rep = kneser_check(A, B)
+            assert (rep.holds, rep.lhs, rep.rhs) == (lhs >= rhs, lhs, rhs)
+            assert rep.H.order == len(H) and elements_of(rep.H.mask, q) == H
+
+
 class TestNormalizeDifference:
     def test_spec_example_q4(self):
         nd = normalize_difference(6, 4)
@@ -216,8 +240,9 @@ class TestSubgroupLemma:
             A = w.set
             for H in proper_nontrivial_subgroups(q):
                 n, h = H.order, H.mask
-                cosets = [set(A.elements) & {(t + x) % q for x in H.as_set()} for t in range(q // n)]
-                a_plus_h = len({(a + x) % q for a in A for x in H.as_set()})
+                h_elems = {j * H.generator for j in range(n)}
+                cosets = [set(A.elements) & {(t + x) % q for x in h_elems} for t in range(q // n)]
+                a_plus_h = len({(a + x) % q for a in A for x in h_elems})
                 g = math.gcd(m * n, q)
                 expansion = set()  # (|A'+H|, |A'|) over every nonempty A'
                 for sub in range(1, 1 << m):
@@ -337,7 +362,7 @@ class TestKernels:
     def test_coset_counts_every_mask(self):
         for q in range(1, 13):
             for H in (Subgroup(q, n) for n in divisors(q)):
-                h = set(H.as_set())
+                h = {j * H.generator for j in range(H.order)}
                 for mask in range(1 << q):
                     elems = elements_of(mask, q)
                     expect = [len(elems & {(t + x) % q for x in h}) for t in range(q // H.order)]

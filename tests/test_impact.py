@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from zqadd import impact
 from zqadd.core import BudgetExceededError, ResidueSet, interval, period_group, sumset
-from zqadd.digital import verify_impact_extension
+from zqadd.digital import NAIVE_CROSS_CHECK_UPTO, sample_digital_set, verify_impact_extension
 from zqadd.impact import (
     beta_threshold,
     bound2_threshold,
@@ -157,6 +157,54 @@ class TestImpactValues:
         r = xi_search(A, 8)
         assert (r.value, r.witness.elements) == (26, (0, 1, 2, 3, 8, 11, 12, 22))
         assert r.exact and r.nodes_explored <= 2_200
+
+
+def xi_by_sets(q, elems, n):
+    """(min |A+B|, lex-least minimizer, number of B scored) over every
+    B = {0} ∪ C, C an (n-1)-subset of 1..q-1, with plain sets."""
+    translates = [{(a + b) % q for a in elems} for b in range(q)]
+    best, count = None, 0
+    for C in combinations(range(1, q), n - 1):
+        count += 1
+        size = len(translates[0].union(*(translates[b] for b in C)))
+        if best is None or size < best[0]:
+            best = (size, (0,) + C)
+    return best[0], best[1], count
+
+
+def assert_xi_naive_matches_sets(A, n):
+    r = xi_naive(A, n)
+    if n <= 1:  # answered without enumerating
+        assert (r.value, r.witness.elements, r.nodes_explored) == ((0, (), 0) if n == 0 else (A.size, (0,), 0))
+    else:
+        value, witness, count = xi_by_sets(A.q, A.elements, n)
+        assert (r.value, r.witness.elements, r.nodes_explored) == (value, witness, count)
+        assert count == math.comb(A.q - 1, n - 1)
+    assert r.exact
+
+
+class TestXiNaiveKernel:
+    @pytest.mark.parametrize("q", range(1, 11))
+    def test_every_mask_and_n_matches_sets(self, q):
+        for mask in range(1, 1 << q):
+            A = ResidueSet(q, mask)
+            for n in range(q + 1):
+                assert_xi_naive_matches_sets(A, n)
+
+    def test_digital_sets_at_q32_match_sets(self):
+        # the n <= 3 cross-check of the digital impact bound, on (16, 32) sets
+        rng = random.Random(29)
+        for _ in range(12):
+            A = sample_digital_set(16, 32, rng)
+            for n in range(1, NAIVE_CROSS_CHECK_UPTO + 1):
+                assert_xi_naive_matches_sets(A, n)
+
+    def test_budget_check_is_on_the_combination_count(self, monkeypatch):
+        A = S(12, [0, 1, 5])
+        monkeypatch.setattr(impact, "DEFAULT_NODE_BUDGET", math.comb(11, 4) - 1)
+        assert xi_naive(A, 4).nodes_explored == math.comb(11, 3)
+        with pytest.raises(BudgetExceededError):
+            xi_naive(A, 5)
 
 
 class TestSidon:

@@ -53,6 +53,36 @@ class TestDecompose:
             assert decompose(A, t).reassemble() == A
 
 
+def decompose_by_sets(q, A, t):
+    """(full cosets by least element, maximal t-progressions as (start,
+    length)) of the set A, with plain sets: outside the full cosets of <t>,
+    a maximal progression x, x+t, ..., x+(L-1)t has x-t and x+Lt not in A."""
+    g = math.gcd(t, q)
+    cosets = [{(r + j * t) % q for j in range(q // g)} for r in range(g)]
+    full = [c for c in cosets if c <= A]
+    progressions = []
+    for x in A - set().union(*full):
+        if (x - t) % q not in A:
+            length = 1
+            while (x + length * t) % q in A:
+                length += 1
+            progressions.append((x, length))
+    return tuple(min(c) for c in full), tuple(sorted(progressions))
+
+
+@pytest.mark.parametrize("q", range(2, 13))
+def test_decompose_matches_sets_for_every_mask_and_t(q):
+    for mask in range(1, 1 << q):
+        A = ResidueSet(q, mask)
+        elems = set(A.elements)
+        for t in range(1, q):
+            dec = decompose(A, t)
+            full, progressions = decompose_by_sets(q, elems, t)
+            assert (dec.full_cosets, dec.progressions) == (full, progressions)
+            covered = sum(length for _, length in progressions) + len(full) * (q // math.gcd(t, q))
+            assert covered == len(elems)  # the pieces partition A
+
+
 def sumset_pair(A, t):
     return set(A.elements) | {(x + t) % A.q for x in A.elements}
 
