@@ -12,14 +12,13 @@ from .core import (
     BudgetExceededError,
     ResidueSet,
     affine_images,
-    coset_runs,
     next_prime,
     seminorm,
     shift_mask,
     shift_table,
 )
 from .impact import xi_exact
-from .progressions import contained_in_coset
+from .progressions import contained_in_coset, decompose
 
 
 def equal_impact_witnesses(A: ResidueSet) -> Optional[tuple[int, int]]:
@@ -93,13 +92,23 @@ def extract_chain_structure(
     the hypotheses contradicts the structure theorem.
     """
     q = A.q
-    if d1 == 0 or q % d1 != 0:
-        raise ValueError("d1 must be a nonzero divisor of q")
+    if not 0 < d1 < q or q % d1 != 0:
+        raise ValueError("d1 must be a divisor of q with 0 < d1 < q")
     if contained_in_coset(A) is not None:
         raise ValueError("A must not be contained in a coset of a proper subgroup")
     order = q // d1
-    comp = A.complement().mask
-    full_cosets, runs = coset_runs(comp, d1, q)
+    complement = A.complement()
+    comp = complement.mask
+    full_cosets, progressions = (), ()
+    if comp:  # A = Z_q leaves no runs, and decompose rejects the empty set
+        dec = decompose(complement, d1)
+        full_cosets, progressions = dec.full_cosets, dec.progressions
+    # the coset r + <d1>, r < d1, is r, r + d1, ... below q, so ordering by
+    # (coset, start) lists each coset's runs in cycle order from r
+    runs = [
+        tuple((start + i * d1) % q for i in range(length))
+        for start, length in sorted(progressions, key=lambda r: (r[0] % d1, r[0]))
+    ]
     z = d1 - len(full_cosets)
 
     violations: list[str] = []

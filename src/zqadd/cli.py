@@ -22,15 +22,7 @@ from .core import (
     set_to_json,
 )
 from .chains import build_construction, compute_mu, construction_chain_family, extract_chain_structure, project_to_prime
-from .digital import (
-    carry_stats,
-    enumerate_digital_sets,
-    is_digital,
-    prime_condition,
-    verify_carry_extremality,
-    verify_digital_impact_bound,
-    verify_small_doubling_classification,
-)
+from .digital import carry_stats, enumerate_digital_sets, is_digital, prime_condition
 from .impact import DEFAULT_NODE_BUDGET, xi_search
 from .progressions import alpha, alpha_profile, check_uniqueness, decompose, stability
 from .verify import SUITES, canonical_json, run_suites
@@ -126,16 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     dp.add_argument("--m", type=int, required=True)
     dp = dsub.add_parser("carries", help="carry statistics of a digit set (q = m^2)")
     common(dp, needs_set=True)
-    dp = dsub.add_parser("verify-extremal", help="exhaustive carry-extremality sweep")
-    common(dp)
-    dp.add_argument("--m", type=int, required=True)
-    dp = dsub.add_parser("verify-theorem1", help="impact lower bound on sampled digital sets")
-    common(dp, needs_q=True, seed=True)
-    dp.add_argument("--m", type=int, default=16)
-    dp.add_argument("--n", type=int, default=500, help="sample count")
-    dp = dsub.add_parser("verify-corollary", help="small-doubling classification sweep")
-    common(dp, needs_q=True)
-    dp.add_argument("--m", type=int, default=16)
 
     p = sub.add_parser("construct", help="the chain-of-intervals construction")
     common(p)
@@ -272,48 +254,6 @@ def _cmd_digital(args) -> int:
             args.format,
         )
         return EXIT_OK
-    if sub == "verify-extremal":
-        rep = verify_carry_extremality(args.m)
-        _emit(
-            {
-                "m": args.m,
-                "sets_scanned": rep.sets_scanned,
-                "min_distinct_carries": rep.min_distinct_carries,
-                "min_nonzero_pairs": rep.min_nonzero_pairs,
-                "holds": rep.holds,
-            },
-            args.format,
-        )
-        return EXIT_OK if rep.holds else EXIT_COUNTEREXAMPLE
-    if sub == "verify-theorem1":
-        seed = RunConfig(seed=args.seed).derived_seed("digital_impact_bound")
-        rep = verify_digital_impact_bound(args.m, args.q, samples=args.n, seed=seed)
-        _emit(
-            {
-                "m": args.m,
-                "q": args.q,
-                "samples": rep.samples,
-                "two_ap_sets": rep.two_ap_sets,
-                "checked_sets": rep.checked_sets,
-                "counterexamples": list(rep.counterexamples),
-            },
-            args.format,
-        )
-        return EXIT_OK if not rep.counterexamples else EXIT_COUNTEREXAMPLE
-    if sub == "verify-corollary":
-        rep = verify_small_doubling_classification(args.m, args.q)
-        _emit(
-            {
-                "m": args.m,
-                "q": args.q,
-                "sets_scanned": rep.sets_scanned,
-                "solutions": len(rep.solutions),
-                "all_affine_interval_images": rep.all_affine_interval_images,
-                "note": rep.literal_conclusion_note,
-            },
-            args.format,
-        )
-        return EXIT_OK if rep.all_affine_interval_images else EXIT_COUNTEREXAMPLE
     raise ValueError(f"unknown digital subcommand {sub!r}")
 
 

@@ -341,29 +341,6 @@ def affine_maps(mask: int, target: int, q: int) -> Iterator[tuple[int, int]]:
                 yield c, s
 
 
-def coset_runs(mask: int, t: int, q: int) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The cosets of <t> inside the set S with this mask (by least element,
-    ascending), and the maximal t-progressions of S in the other cosets, as
-    elements in cycle order, walking each coset along rep, rep+t, ..."""
-    g = math.gcd(t, q)
-    order = q // g
-    full_cosets: list[int] = []
-    runs: list[tuple[int, ...]] = []
-    for rep in range(g):
-        cycle = [(rep + j * t) % q for j in range(order)]
-        inside = [mask >> x & 1 for x in cycle]
-        if all(inside):
-            full_cosets.append(rep)
-            continue
-        for j in range(order):
-            if inside[j] and not inside[j - 1]:
-                run = [cycle[j]]
-                while inside[(j + len(run)) % order]:
-                    run.append(cycle[(j + len(run)) % order])
-                runs.append(tuple(run))
-    return full_cosets, runs
-
-
 def coset_counts(mask: int, H: Subgroup) -> list[int]:
     """|S ∩ (H+t)| for t = 0 .. q/|H| - 1, for the set S with this mask.
     H+t is t + <q/|H|>, whose elements all lie below q since t < q/|H|,

@@ -254,7 +254,6 @@ def centered_digits(m: int) -> ResidueSet:
 
 @dataclass(frozen=True)
 class CarryExtremalityReport:
-    m: int
     sets_scanned: int
     min_distinct_carries: int
     distinct_minimizer_count: int
@@ -263,7 +262,6 @@ class CarryExtremalityReport:
     min_nonzero_pairs: int
     nonzero_minimizer_count: int
     nonzero_minimizers_in_centered_orbit: bool
-    centered_attains_nonzero_min: bool
 
     @property
     def holds(self) -> bool:
@@ -271,9 +269,9 @@ class CarryExtremalityReport:
         is an affine image of the corresponding canonical digit set.
 
         The interval digits must also attain the distinct-carry minimum.
-        Only the centered flag is informational: carry statistics under
-        the standard lift are not affine-invariant, and the centered
-        digits miss the nonzero-pair minimum at every m from 3 to 7.
+        The centered digits need not attain the nonzero-pair minimum:
+        carry statistics under the standard lift are not affine-invariant,
+        and they miss it at every m from 3 to 7.
         """
         return (
             self.distinct_minimizers_in_interval_orbit
@@ -310,9 +308,7 @@ def verify_carry_extremality(m: int) -> CarryExtremalityReport:
     interval_orbit = affine_images(canonical_interval_digits(m).mask, q)
     centered_orbit = affine_images(centered_digits(m).mask, q)
     interval_stats = carry_stats(is_digital(canonical_interval_digits(m)))
-    centered_stats = carry_stats(is_digital(centered_digits(m)))
     return CarryExtremalityReport(
-        m=m,
         sets_scanned=count,
         min_distinct_carries=best_distinct,
         distinct_minimizer_count=len(distinct_minimizers),
@@ -327,9 +323,6 @@ def verify_carry_extremality(m: int) -> CarryExtremalityReport:
         nonzero_minimizers_in_centered_orbit=all(
             mk in centered_orbit for mk in nonzero_minimizers
         ),
-        centered_attains_nonzero_min=(
-            centered_stats.nonzero_pair_count == best_nonzero
-        ),
     )
 
 
@@ -339,8 +332,6 @@ def verify_carry_extremality(m: int) -> CarryExtremalityReport:
 
 @dataclass(frozen=True)
 class ImpactBoundReport:
-    m: int
-    q: int
     samples: int
     two_ap_sets: int
     checked_sets: int
@@ -393,18 +384,14 @@ def verify_digital_impact_bound(
                     {"set": list(A.elements), "n": n, "xi": val}
                 )
     return ImpactBoundReport(
-        m, q, samples, two_ap, checked, IMPACT_WINDOW, counterexamples, skipped
+        samples, two_ap, checked, IMPACT_WINDOW, counterexamples, skipped
     )
 
 
 @dataclass(frozen=True)
 class SmallDoublingReport:
-    m: int
-    q: int
     sets_scanned: int
-    prefilter_survivors: int
     solutions: list  # each: elements, (x, y), affine normal form
-    all_affine_interval_images: bool
     literal_conclusion_note: str
 
 
@@ -464,10 +451,7 @@ def verify_small_doubling_classification(m: int, q: int) -> SmallDoublingReport:
         solutions.append({"elements": sorted(lifts), "pair": pair, "normal_form": normal})
     if survivors + cut != reps**m:
         raise AssertionError(f"{survivors} surviving and {cut} cut sets do not cover the {reps**m} digital sets")
-    all_interval = all(s["normal_form"] is not None for s in solutions)
-    return SmallDoublingReport(
-        m, q, survivors + cut, survivors, solutions, all_interval, LITERAL_CONCLUSION_NOTE
-    )
+    return SmallDoublingReport(survivors + cut, solutions, LITERAL_CONCLUSION_NOTE)
 
 
 def _find_covering_pair(a_mask: int, aa: int, q: int) -> Optional[tuple[int, int]]:

@@ -162,8 +162,7 @@ def suite_oracle_equivalence(cfg: RunConfig) -> dict:
 def _identity_violation(A: ResidueSet, t: int) -> Optional[dict]:
     q = A.q
     dec = decompose(A, t)
-    pair = ResidueSet.from_elements(q, [0, t])
-    lhs = sumset_mask(A.mask, pair.mask, q).bit_count()
+    lhs = sumset_mask(A.mask, 1 | 1 << t, q).bit_count()
     a = alpha(A, t)
     if dec.alpha != a or lhs != A.size + a or dec.reassemble() != A:
         return {

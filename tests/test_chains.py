@@ -98,6 +98,21 @@ class TestChainExtraction:
         with pytest.raises(ValueError):
             extract_chain_structure(S(12, [0, 1, 5]), 5, 3)
 
+    @pytest.mark.parametrize("d1", [-1, 0, 12])
+    def test_difference_outside_zero_to_q_rejected(self, d1):
+        with pytest.raises(ValueError, match="d1"):
+            extract_chain_structure(S(12, [0, 1, 2, 3, 5, 6, 7, 9]), d1, 5)
+
+    def test_runs_in_coset_then_cycle_order(self):
+        # the complement {3, ..., 7} has the <2>-runs 4,6 in coset 0 and
+        # 3,5,7 in coset 1; coset order makes 4,6 run 0, and 4,6 - 1 is no run
+        fam = extract_chain_structure(S(8, [0, 1, 2]), 2, 1, k_bound=8)
+        assert fam.violations[0] == "condition_ii: run 0 has no predecessor one shorter"
+
+    def test_full_group_has_no_runs(self):
+        fam = extract_chain_structure(S(8, range(8)), 2, 1, k_bound=8)
+        assert (fam.chains, fam.run_count, fam.full_cosets, fam.z) == ((), 0, (), 2)
+
 
 class TestConstruction:
     SIZES = {3: 36, 4: 163, 5: 694, 6: 2865, 7: 11644, 8: 46951}

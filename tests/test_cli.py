@@ -1,6 +1,10 @@
-"""CLI contract: parsing, formats, exit codes."""
+"""CLI contract: parsing, formats, exit codes, and every subcommand run."""
 
+import argparse
+import ast
+import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,7 @@ from zqadd.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_ERROR,
     EXIT_OK,
+    build_parser,
     main,
 )
 
@@ -18,6 +23,30 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def command_paths(parser, prefix=()):
+    """Every leaf subcommand of the parser, as a path like ("digital", "check")."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [prefix]
+    return [path for a in subs for name, p in a.choices.items() for path in command_paths(p, (*prefix, name))]
+
+
+def literal_runs():
+    """The leading string arguments of each run(capsys, ...) call in this file."""
+    tree = ast.parse(Path(__file__).read_text())
+    return {
+        tuple(a.value for a in itertools.takewhile(lambda a: isinstance(a, ast.Constant), node.args[1:]))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run"
+    }
+
+
+def test_every_subcommand_is_run_here():
+    runs = literal_runs()
+    missing = [path for path in command_paths(build_parser()) if not any(r[: len(path)] == path for r in runs)]
+    assert missing == []
 
 
 class TestXi:
@@ -78,6 +107,9 @@ class TestErrors:
             ("verify-all", "--budget-nodes", "10"),
             ("digital", "check", "--q", "8", "--set", "0,3", "--m", "2"),
             ("carries", "--q", "9", "--set", "0,1,2"),
+            ("digital", "verify-extremal", "--m", "3"),
+            ("digital", "verify-theorem1", "--q", "32"),
+            ("digital", "verify-corollary", "--q", "16", "--m", "8"),
         ],
     )
     def test_removed_options(self, capsys, argv):
@@ -202,6 +234,14 @@ class TestSubcommands:
         assert code == EXIT_COUNTEREXAMPLE
         assert json.loads(out)["violations"]
 
+    @pytest.mark.parametrize("d1", ["-1", "12"])
+    def test_chains_rejects_a_bad_difference(self, capsys, d1):
+        # d1 must be a divisor of q in (0, q); bad input is not a counterexample
+        code, out, err = run(
+            capsys, "chains", "--q", "12", "--set", "0,1,2,3,5,6,7,9", "--d1", d1, "--d2", "5"
+        )
+        assert code == EXIT_ERROR and out == "" and "d1" in err
+
 
 class TestVerify:
     def test_single_suite(self, capsys):
@@ -218,3 +258,7 @@ class TestVerify:
             capsys, "verify", "construction", "--profile", "smoke", "--format", "pretty"
         )
         assert code == EXIT_OK and "construction: pass" in out
+
+    def test_verify_all(self, capsys):
+        code, out, _ = run(capsys, "verify-all", "--profile", "smoke", "--format", "pretty")
+        assert code == EXIT_OK and out.splitlines()[-1] == "overall: pass"

@@ -16,7 +16,6 @@ from zqadd.core import (
     affine_images,
     affine_maps,
     coset_counts,
-    coset_runs,
     divisors,
     interval,
     kneser_check,
@@ -350,14 +349,6 @@ class TestKernels:
             )
             least = min(tuple(sorted(elements_of(img, q))) for img in affine_images(mask, q))
             assert least == brute
-
-    def test_coset_runs(self):
-        # cosets of <4> in Z_12: {0,4,8} inside S; {1,5,9} meets S in 5,9
-        # (one run 5,9 along the cycle 1,5,9); {2,6,10} meets S in 10, 2
-        # (the run 10,2 wraps); {3,7,11} misses S
-        S_mask = sum(1 << x for x in (0, 4, 8, 5, 9, 2, 10))
-        assert coset_runs(S_mask, 4, 12) == ([0], [(5, 9), (10, 2)])
-        assert coset_runs(S_mask, 8, 12) == ([0], [(9, 5), (2, 10)])
 
     def test_coset_counts_every_mask(self):
         for q in range(1, 13):
