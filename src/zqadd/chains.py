@@ -60,9 +60,6 @@ class ChainFamily:
     """Decomposition of A^c within the occupied cosets of H = <d1> into
     chains of d1-gap-runs linked by translation by d2."""
 
-    q: int
-    d1: int
-    d2: int
     z: int  # cosets of H meeting A
     subgroup_order: int
     chains: tuple[tuple[tuple[int, ...], ...], ...]  # chain -> run -> elements
@@ -170,9 +167,6 @@ def extract_chain_structure(
         violations.append("size_bound: |A| < z|H| - k(k+1)/2")
 
     return ChainFamily(
-        q,
-        d1,
-        d2,
         z,
         order,
         tuple(chains),
@@ -280,7 +274,6 @@ class MuRecord:
     witnesses_up_to_affine: tuple[tuple[int, ...], ...]
     sqrt_bound: float  # sqrt(8p+25) - 5, applicable when mu < 2p/3
     log4_bound: float
-    sqrt_bound_applicable: bool
     bounds_hold: bool
     strategy: str
     nodes: int  # search nodes: gaps and runs placed ('bounded'), subsets tested ('full')
@@ -489,8 +482,7 @@ def compute_mu(p: int, strategy: str = "bounded") -> MuRecord:
     canon = sorted(classes)
     sqrt_bound = math.sqrt(8 * p + 25) - 5
     log4_bound = math.log(p, 4)
-    applicable = mu < 2 * p / 3
-    holds = (mu > log4_bound) and (not applicable or mu >= sqrt_bound - 1e-9)
+    holds = mu > log4_bound and (mu >= 2 * p / 3 or mu >= sqrt_bound - 1e-9)
     return MuRecord(
         p,
         mu,
@@ -498,7 +490,6 @@ def compute_mu(p: int, strategy: str = "bounded") -> MuRecord:
         tuple(canon),
         sqrt_bound,
         log4_bound,
-        applicable,
         holds,
         strategy,
         nodes,

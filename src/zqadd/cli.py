@@ -227,8 +227,7 @@ def _cmd_digital(args) -> int:
         out = {**set_to_json(A), "digital": w is not None}
         if w is not None:
             out["m"] = w.m
-            pc = prime_condition(w.m, A.q)
-            out["prime_condition"] = pc.accepted
+            out["prime_condition"] = prime_condition(w.m, A.q)
         _emit(out, args.format)
         return EXIT_OK
     if sub == "enumerate":

@@ -58,35 +58,18 @@ def is_digital(A: ResidueSet) -> Optional[DigitalSetWitness]:
     return DigitalSetWitness(A, m, tuple(rmap))  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
-class PrimeConditionCheck:
-    m: int
-    q: int
-    same_primes: bool
-    strict_exponents: bool
-
-    @property
-    def accepted(self) -> bool:
-        return self.same_primes and self.strict_exponents
-
-
-def prime_condition(m: int, q: int) -> PrimeConditionCheck:
+def prime_condition(m: int, q: int) -> bool:
     """m and q composed of the same primes, with every exponent strictly
     larger in q."""
+    if m == 1 and q == 1:
+        return False  # no strictly larger exponents exist
     fm = dict(factorize(m)) if m > 1 else {}
     fq = dict(factorize(q)) if q > 1 else {}
-    same = set(fm) == set(fq)
-    strict = same and all(fq[p] > e for p, e in fm.items())
-    if m == 1 and q == 1:
-        same = strict = False  # no strictly larger exponents exist
-    return PrimeConditionCheck(m, q, same, strict)
+    return set(fm) == set(fq) and all(fq[p] > e for p, e in fm.items())
 
 
 @dataclass(frozen=True)
 class SubgroupLemmaReport:
-    q: int
-    m: int
-    subgroup_order: int
     coset_bound_holds: bool
     subset_expansion_holds: bool
     gcd_bound_holds: bool
@@ -134,12 +117,11 @@ def subgroup_lemma_check(A: ResidueSet, H: Subgroup) -> SubgroupLemmaReport:
     # |H| = 2 (gcd = 4 < 4m/3 + 2)
     lower_line_ok = m < 3 or 3 * g >= 4 * m + 3 * n or g >= q
     gcd_ok = a_plus_h >= g and g >= p * max(m, n) and lower_line_ok
-    return SubgroupLemmaReport(q, m, n, coset_ok, expansion_ok, gcd_ok)
+    return SubgroupLemmaReport(coset_ok, expansion_ok, gcd_ok)
 
 
 @dataclass(frozen=True)
 class CarryStats:
-    digit_set: DigitalSetWitness
     distinct_carries: tuple[int, ...]
     nonzero_pair_count: int
 
@@ -154,7 +136,7 @@ def carry_stats(w: DigitalSetWitness) -> CarryStats:
     bits = nonzero = 0
     for pairs in _carry_pairs(m):
         bits, nonzero = _add_carries(bits, nonzero, w.residue_map, pairs, m)
-    return CarryStats(w, tuple(c - m for c in range(3 * m) if bits >> c & 1), nonzero)
+    return CarryStats(tuple(c - m for c in range(3 * m) if bits >> c & 1), nonzero)
 
 
 @lru_cache(maxsize=None)
@@ -335,9 +317,7 @@ class ImpactBoundReport:
     samples: int
     two_ap_sets: int
     checked_sets: int
-    window: tuple[int, ...]
     counterexamples: list
-    skipped: list
 
 
 IMPACT_WINDOW = (2, 3, 4)  # the n at which xi(n) > m + n is checked
@@ -353,7 +333,7 @@ def verify_digital_impact_bound(
 
     Requires the prime condition and m > 15, as the claim does.
     """
-    if not prime_condition(m, q).accepted:
+    if not prime_condition(m, q):
         raise ValueError(f"(m={m}, q={q}) fails the prime condition")
     if m <= 15:
         raise ValueError("m <= 15 is outside the theorem")
@@ -361,17 +341,14 @@ def verify_digital_impact_bound(
     rng = random.Random(seed)
     two_ap = checked = 0
     counterexamples = []
-    skipped = []
     for _ in range(samples):
         A = sample_digital_set(m, q, rng)
         if min_alpha(A) <= 2:
             two_ap += 1  # excluded branch: xi(2) <= m+2 by the identity
             continue
         checked += 1
+        # 1 < n < q - m: the prime condition gives m | q, q > m, so q - m >= m > 15
         for n in IMPACT_WINDOW:
-            if not 1 < n < q - m:
-                skipped.append({"set": list(A.elements), "n": n, "reason": "range"})
-                continue
             val = xi_exact(A, n)
             if n <= NAIVE_CROSS_CHECK_UPTO:
                 naive = xi_naive(A, n).value
@@ -384,7 +361,7 @@ def verify_digital_impact_bound(
                     {"set": list(A.elements), "n": n, "xi": val}
                 )
     return ImpactBoundReport(
-        samples, two_ap, checked, IMPACT_WINDOW, counterexamples, skipped
+        samples, two_ap, checked, counterexamples
     )
 
 
@@ -392,7 +369,6 @@ def verify_digital_impact_bound(
 class SmallDoublingReport:
     sets_scanned: int
     solutions: list  # each: elements, (x, y), affine normal form
-    literal_conclusion_note: str
 
 
 LITERAL_CONCLUSION_NOTE = (
@@ -419,7 +395,7 @@ def verify_small_doubling_classification(m: int, q: int) -> SmallDoublingReport:
     equals Z_q for every digital set (the two lifts of each residue class
     are swapped by adding m) and the containment is vacuous.
     """
-    if not prime_condition(m, q).accepted:
+    if not prime_condition(m, q):
         raise ValueError(f"(m={m}, q={q}) fails the prime condition")
     interval_mask = interval(0, m - 1, q).mask
     cover_max = min(2 * m, q - 1)
@@ -451,7 +427,7 @@ def verify_small_doubling_classification(m: int, q: int) -> SmallDoublingReport:
         solutions.append({"elements": sorted(lifts), "pair": pair, "normal_form": normal})
     if survivors + cut != reps**m:
         raise AssertionError(f"{survivors} surviving and {cut} cut sets do not cover the {reps**m} digital sets")
-    return SmallDoublingReport(survivors + cut, solutions, LITERAL_CONCLUSION_NOTE)
+    return SmallDoublingReport(survivors + cut, solutions)
 
 
 def _find_covering_pair(a_mask: int, aa: int, q: int) -> Optional[tuple[int, int]]:
@@ -502,8 +478,7 @@ def verify_impact_extension(
     """Sample digital sets and check: if xi(n) >= n+m+k holds on the short
     hypothesis range 2 <= n <= (3+sqrt(16k+1))/2, it also holds on the
     spot-check window inside [2, q-m-k-1]."""
-    pc = prime_condition(m, q)
-    if not pc.accepted:
+    if not prime_condition(m, q):
         raise ValueError(f"(m={m}, q={q}) fails the prime condition")
     if m <= m_threshold(k):
         raise ValueError(

@@ -27,7 +27,6 @@ THRESHOLD_M_CAP = 100_000  # the m scanned for the range-bound thresholds
 
 @dataclass(frozen=True)
 class ImpactResult:
-    n: int
     value: int
     witness: ResidueSet
     nodes_explored: int
@@ -41,9 +40,7 @@ def _trivial_impact(A: ResidueSet, n: int) -> Optional[ImpactResult]:
     if not 0 <= n <= q:
         raise ValueError(f"n must lie in [0, {q}], got {n}")
     if n == 0:
-        return ImpactResult(0, 0, ResidueSet.empty(q), 0, True)
-    if n == 1:
-        return ImpactResult(1, A.size, ResidueSet.from_elements(q, [0]), 0, True)
+        return ImpactResult(0, ResidueSet.empty(q), 0, True)
     return None
 
 
@@ -51,7 +48,8 @@ def xi_naive(A: ResidueSet, n: int) -> ImpactResult:
     """Exhaustive minimum of |A+B| over all B with |B| = n and 0 in B.
 
     Fixing 0 in B loses nothing: |A + (B+t)| = |A+B|.  The witness is the
-    lexicographically least minimizer containing 0.
+    lexicographically least minimizer containing 0.  Every n >= 1 is
+    enumerated, so the oracle also checks xi_search's n = 1 shortcut.
 
     B = {0} ∪ C runs over the (n-1)-subsets C of 1..q-1 in lexicographic
     order: a prefix (a head from itertools.combinations, then its last
@@ -93,7 +91,7 @@ def xi_naive(A: ResidueSet, n: int) -> ImpactResult:
     head, last, index = best
     prefix = head + (last,) if k else ()
     tail = next(islice(combinations(range(1, q), r), index, None))
-    return ImpactResult(n, value, ResidueSet.from_elements(q, (0,) + prefix + tail), nodes, True)
+    return ImpactResult(value, ResidueSet.from_elements(q, (0,) + prefix + tail), nodes, True)
 
 
 def xi_search(A: ResidueSet, n: int, node_budget: Optional[int] = None) -> ImpactResult:
@@ -116,15 +114,20 @@ def xi_search(A: ResidueSet, n: int, node_budget: Optional[int] = None) -> Impac
     The budget is tested only once a leaf exists.  Before that the
     incumbent is q + 1 and nothing is pruned, and lo <= hi on the path of
     least candidates since n <= q, so the first leaf comes after n - 1
-    pops and one last-element scan: a cut result is always a leaf.
-    node_budget defaults to DEFAULT_NODE_BUDGET as it is at the call.
+    pops and one last-element scan: a cut result is always a leaf, and
+    node_budget = 0 stops at the first one.  node_budget must be >= 0 and
+    defaults to DEFAULT_NODE_BUDGET as it is at the call.
     """
     res = _trivial_impact(A, n)
     if res is not None:
         return res
     if node_budget is None:
         node_budget = DEFAULT_NODE_BUDGET
+    if node_budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {node_budget}")
     q = A.q
+    if n == 1:  # |A + {b}| = |A|, and {0} is the least B
+        return ImpactResult(A.size, ResidueSet.from_elements(q, [0]), 0, True)
     shifts = shift_table(A.mask, q)
     best = q + 1  # every leaf beats it, so best <= q once a leaf exists
     best_elems: tuple[int, ...] = ()
@@ -166,7 +169,7 @@ def xi_search(A: ResidueSet, n: int, node_budget: Optional[int] = None) -> Impac
                 stack.append((chosen + (c,), p if c == lo else t + 1, child))
 
     witness = ResidueSet.from_elements(q, (0,) + best_elems)
-    return ImpactResult(n, best, witness, nodes, exact)
+    return ImpactResult(best, witness, nodes, exact)
 
 
 def xi_exact(A: ResidueSet, n: int) -> int:
@@ -199,8 +202,6 @@ def sidon_check(B: ResidueSet) -> bool:
 class SidonSumsetBoundReport:
     holds: bool
     sumset_size: int
-    m: int
-    n: int
 
 
 def sidon_sumset_bound_check(A: ResidueSet, B: ResidueSet) -> SidonSumsetBoundReport:
@@ -211,7 +212,7 @@ def sidon_sumset_bound_check(A: ResidueSet, B: ResidueSet) -> SidonSumsetBoundRe
     m, n = A.size, B.size
     s = sumset(A, B).size
     holds = s * (m + n - 1) >= m * n * n
-    return SidonSumsetBoundReport(holds, s, m, n)
+    return SidonSumsetBoundReport(holds, s)
 
 
 @dataclass(frozen=True)
@@ -303,8 +304,6 @@ def _subset_ratio(idxs, shifts) -> Fraction:
 
 @dataclass(frozen=True)
 class RangeBounds:
-    m: int
-    k: int
     bound1: float
     bound2: float
     hypothesis_range_end: float
@@ -320,7 +319,7 @@ def range_bounds(m: int, k: int) -> RangeBounds:
     b1 = _quadratic_root(m - 1, 2 * m + k - 2, (m - 1) * (m + k - 1))
     b2 = _quadratic_root(m - 2, 3 * m + 4 * k - 4, 2 * m + 2 * (k - 1) * (2 * m + k - 1))
     end = (3 + math.sqrt(16 * k + 1)) / 2
-    return RangeBounds(m, k, b1, b2, end)
+    return RangeBounds(b1, b2, end)
 
 
 def _quadratic_root(a: int, b: int, c: int) -> float:

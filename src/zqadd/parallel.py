@@ -18,5 +18,6 @@ def ordered_map(
 ) -> list[R]:
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the pool forks all its workers up front: no more than there are tasks
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items, chunksize=chunksize))

@@ -135,7 +135,6 @@ def contained_in_coset(A: ResidueSet) -> Optional[Subgroup]:
 
 @dataclass(frozen=True)
 class UniquenessVerdict:
-    base: ResidueSet
     difference_set: tuple[int, ...]
     classification: str  # unique_pm_d | exception_interval_plus_point |
     #                      exception_point_plus_interval | other
@@ -184,7 +183,7 @@ def check_uniqueness(A: ResidueSet) -> UniquenessVerdict:
     }
 
     if len(diff_set) == 2 and diff_set[1] == (q - diff_set[0]) % q:
-        return UniquenessVerdict(A, diff_set, "unique_pm_d", hypothesis)
+        return UniquenessVerdict(diff_set, "unique_pm_d", hypothesis)
 
     # c^-1 * A + s = F  iff  c*F + t = A with t = -c*s
     found = [
@@ -195,13 +194,13 @@ def check_uniqueness(A: ResidueSet) -> UniquenessVerdict:
     if found:
         c, s, family = min(found)
         detail = {"scale": c, "shift": s}
-        return UniquenessVerdict(A, diff_set, _FAMILY_LABELS[family], hypothesis, detail)
+        return UniquenessVerdict(diff_set, _FAMILY_LABELS[family], hypothesis, detail)
     # structured dump for inspection
     detail = {
         "alpha_profile": prof,
         "elements": list(A.elements),
     }
-    return UniquenessVerdict(A, diff_set, "other", hypothesis, detail)
+    return UniquenessVerdict(diff_set, "other", hypothesis, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +209,6 @@ def check_uniqueness(A: ResidueSet) -> UniquenessVerdict:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    base: ResidueSet
     k: int
     optimal_differences: tuple[int, ...]
     status: str  # stable | unstable | indeterminate
@@ -231,13 +229,13 @@ def stability(A: ResidueSet) -> StabilityReport:
     k = min_alpha(A)
     opt = tuple(optimal_differences(A))
     if sum(math.comb(q, j) for j in range(k + 1)) > STABILITY_BUDGET:
-        return StabilityReport(A, k, opt, "indeterminate")
+        return StabilityReport(k, opt, "indeterminate")
 
     for d in opt:
         for nbr in _neighborhood(A, k):
             if (shift_mask(nbr, d, q) & ~nbr).bit_count() < k:
-                return StabilityReport(A, k, opt, "unstable", (d, ResidueSet(q, nbr)))
-    return StabilityReport(A, k, opt, "stable")
+                return StabilityReport(k, opt, "unstable", (d, ResidueSet(q, nbr)))
+    return StabilityReport(k, opt, "stable")
 
 
 def _neighborhood(A: ResidueSet, k: int):

@@ -24,6 +24,8 @@ from .core import (
     translation_classes,
 )
 from .digital import (
+    IMPACT_WINDOW,
+    LITERAL_CONCLUSION_NOTE,
     enumerate_digital_sets,
     sample_digital_set,
     subgroup_lemma_check,
@@ -248,7 +250,7 @@ def suite_boundary_values(cfg: RunConfig) -> dict:
         q2 = rng.randrange(16, 65)
         A2 = _random_proper_subset(rng, q2)
         count += 1
-        if xi_search(A2, 1).value != A2.size:
+        if xi_naive(A2, 1).value != A2.size:
             bad.append({"q": q2, "set": sorted(A2.elements), "n": 1, "identity": "xi1"})
     return _suite("boundary_values", count, bad)
 
@@ -462,10 +464,9 @@ def suite_digital_impact_bound(cfg: RunConfig) -> dict:
         "digital_impact_bound",
         rep.samples,
         list(rep.counterexamples),
-        skipped=list(rep.skipped),
         two_ap_sets=rep.two_ap_sets,
         checked_sets=rep.checked_sets,
-        window=list(rep.window),
+        window=list(IMPACT_WINDOW),
     )
 
 
@@ -484,7 +485,7 @@ def suite_small_doubling(cfg: RunConfig) -> dict:
         m=m,
         q=q,
         solutions=len(rep.solutions),
-        note=rep.literal_conclusion_note,
+        note=LITERAL_CONCLUSION_NOTE,
     )
 
 
@@ -575,9 +576,8 @@ SUITES: list[tuple[str, Callable[[RunConfig], dict]]] = [
 
 def run_suites(cfg: RunConfig, names: Optional[list[str]] = None) -> dict:
     chosen = SUITES if names is None else [s for s in SUITES if s[0] in names]
-    if names is not None and len(chosen) != len(names):
-        known = {s[0] for s in SUITES}
-        missing = [n for n in names if n not in known]
+    missing = [n for n in names or () if n not in dict(SUITES)]
+    if missing:
         raise ValueError(f"unknown suites: {missing}")
     reports = []
     for name, fn in chosen:

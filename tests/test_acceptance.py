@@ -1,18 +1,16 @@
 """Acceptance gate: the eleven desk-scale criteria, one pass/fail line each.
 
-The desk verification report is computed once per session and shared; the
-determinism criterion re-runs the whole suite through the CLI twice.  The
-module takes about 15 s on a two-core machine.
+The desk verification report is computed once per session, by the CLI with
+one worker, and shared; the determinism criterion adds one 8-worker run.
+The module takes about 13 s on a shared 2-vCPU machine.
 """
 
 import hashlib
+import json
 import subprocess
 import sys
 
 import pytest
-
-from zqadd.config import RunConfig
-from zqadd.verify import run_suites
 
 SEED = 42
 # sha256 of the desk report at this seed; unchanged since the report format
@@ -20,9 +18,27 @@ SEED = 42
 DESK_STDOUT_SHA256 = "96f13b79dc8272595e17075e4a6df0fce1aeaa4a5151d59ff5dc91dcd7a35250"
 
 
+def _desk_stdout(workers):
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "zqadd.cli", "verify-all",
+            "--profile", "desk", "--seed", str(SEED), "--workers", str(workers),
+        ],
+        capture_output=True,
+        timeout=3600,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()[-500:]
+    return proc.stdout
+
+
 @pytest.fixture(scope="module")
-def desk(request):
-    return run_suites(RunConfig(seed=SEED, workers=1, profile="desk"))
+def desk_stdout():
+    return _desk_stdout(1)
+
+
+@pytest.fixture(scope="module")
+def desk(desk_stdout):
+    return json.loads(desk_stdout)
 
 
 def _suite(report, name):
@@ -109,7 +125,7 @@ def test_criterion_9_construction(desk):
     s = _suite(desk, "construction")
     ok = (
         s["passed"]
-        and abs(s["densities"][8] - 13 / 18) <= 0.02
+        and abs(s["densities"]["8"] - 13 / 18) <= 0.02  # JSON keys are strings
         and s["m3_prime"] == 67
         and s["m3_runs"] == 12
     )
@@ -124,19 +140,6 @@ def test_criterion_10_mu(desk):
     _check(10, "mu(p) exact for p in {5,7,11,13}, both strategies and both bounds", ok)
 
 
-def test_criterion_11_determinism():
-    def run(workers):
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "zqadd.cli", "verify-all",
-                "--profile", "desk", "--seed", str(SEED), "--workers", str(workers),
-            ],
-            capture_output=True,
-            timeout=3600,
-        )
-        assert proc.returncode == 0, proc.stderr.decode()[-500:]
-        return proc.stdout
-
-    one = run(1)
-    ok = one == run(8) and hashlib.sha256(one).hexdigest() == DESK_STDOUT_SHA256
+def test_criterion_11_determinism(desk_stdout):
+    ok = desk_stdout == _desk_stdout(8) and hashlib.sha256(desk_stdout).hexdigest() == DESK_STDOUT_SHA256
     _check(11, "verify-all desk reports byte-identical for 1 and 8 workers, and to the frozen bytes", ok)

@@ -97,6 +97,11 @@ class TestErrors:
         code, _, err = run(capsys, "xi", "--q", "5", "--set", "0,1", "--n", "2", "--bogus")
         assert code == EXIT_ERROR and "--bogus" in err
 
+    def test_negative_budget(self, capsys):
+        # a budget below 0 is an input error, not a spent budget (exit 3)
+        code, out, err = run(capsys, "xi", "--q", "12", "--set", "0,1,5", "--n", "4", "--budget-nodes", "-1")
+        assert code == EXIT_ERROR and out == "" and "budget" in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -258,6 +263,11 @@ class TestVerify:
             capsys, "verify", "construction", "--profile", "smoke", "--format", "pretty"
         )
         assert code == EXIT_OK and "construction: pass" in out
+
+    def test_repeated_suite_runs_once(self, capsys):
+        code, out, _ = run(capsys, "verify", "construction", "construction", "--profile", "smoke")
+        assert code == EXIT_OK
+        assert [s["suite"] for s in json.loads(out)["suites"]] == ["construction"]
 
     def test_verify_all(self, capsys):
         code, out, _ = run(capsys, "verify-all", "--profile", "smoke", "--format", "pretty")

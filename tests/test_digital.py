@@ -44,14 +44,18 @@ class TestIsDigital:
 
 class TestPrimeCondition:
     def test_accepted(self):
-        assert prime_condition(6, 36).accepted
-        assert prime_condition(4, 8).accepted
+        assert prime_condition(6, 36)
+        assert prime_condition(4, 8)
 
     def test_rejected_support(self):
-        assert not prime_condition(2, 6).accepted
+        assert not prime_condition(2, 6)
 
     def test_rejected_equal_exponent(self):
-        assert not prime_condition(4, 12).accepted
+        assert not prime_condition(4, 12)
+
+    def test_is_a_predicate(self):
+        # m = q = 1 has no prime whose exponent q could exceed
+        assert prime_condition(4, 8) is True and prime_condition(1, 1) is False
 
 
 class TestCarryStats:
@@ -196,7 +200,7 @@ class TestSmallDoubling:
             (m, q)
             for q in range(2, 33)
             for m in range(1, q + 1)
-            if prime_condition(m, q).accepted and (q // m) ** m <= 70_000
+            if prime_condition(m, q) and (q // m) ** m <= 70_000
         ],
     )
     def test_prefilter_loses_no_solution(self, m, q):

@@ -1,7 +1,9 @@
 """The pair sweep of sumset_inequalities over translation classes: class
 counts, coverage, both Sidon orientations, a planted fault, and the
 translation invariance the reduction rests on; the strategy cross-check
-of the mu suite; inexact Pluennecke results are skipped, not passed."""
+of the mu suite; inexact Pluennecke results are skipped, not passed;
+run_suites names only unknown suites; ordered_map sizes its pool by the
+tasks."""
 
 import dataclasses
 import math
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zqadd import impact, verify
+from zqadd import impact, parallel, verify
 from zqadd.chains import compute_mu
 from zqadd.config import RunConfig
 from zqadd.core import KneserReport, ResidueSet, kneser_check, shift_mask, shift_table, translation_classes
@@ -198,6 +200,33 @@ def test_inexact_pluennecke_is_skipped_not_counted(monkeypatch):
     assert report["pluennecke_exact_instances"] == len(seen) - len(inexact)
     assert [tuple(s["A"]) for s in report["skipped"]] == inexact
     assert all(s["inequality"] == "pluennecke" and s["reason"] == "inexact" for s in report["skipped"])
+
+
+def test_unknown_suites_are_named_alone():
+    with pytest.raises(ValueError, match=r"unknown suites: \['bogus'\]$"):
+        verify.run_suites(RunConfig(seed=1, profile="smoke"), ["mu", "bogus", "mu"])
+
+
+@pytest.mark.parametrize("workers, tasks, started", [(8, 3, 3), (2, 5, 2)])
+def test_ordered_map_starts_at_most_one_process_per_task(workers, tasks, started, monkeypatch):
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", SerialPool)
+    assert parallel.ordered_map(abs, range(-tasks, 0), workers) == list(range(tasks, 0, -1))
+    assert pools == [started]
 
 
 @pytest.mark.parametrize("field", ["mu", "witness_count", "witnesses_up_to_affine"])
