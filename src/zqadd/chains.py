@@ -82,7 +82,8 @@ def extract_chain_structure(
       (i)   every run has size <= k (k = xi(3) - |A| when k_bound is None),
       (ii)  sizes along a chain grow by exactly one,
       (iii) each chain head g satisfies g - d2 in A,
-      (iv)  (G + {0, d1}) for distinct runs G are pairwise disjoint,
+      (iv)  (G + {0, d1}) for distinct runs G are pairwise disjoint
+            (true of maximal runs, so never checked),
 
     plus the size bound |A| >= z|H| - k(k+1)/2 with k the run count.
     Violations are collected, not raised: a violation on a set satisfying
@@ -91,6 +92,10 @@ def extract_chain_structure(
     q = A.q
     if not 0 < d1 < q or q % d1 != 0:
         raise ValueError("d1 must be a divisor of q with 0 < d1 < q")
+    if d2 % q == 0:
+        raise ValueError("d2 must be nonzero mod q")
+    if k_bound is not None and k_bound < 0:
+        raise ValueError("k_bound must be nonnegative")
     if contained_in_coset(A) is not None:
         raise ValueError("A must not be contained in a coset of a proper subgroup")
     order = q // d1
@@ -117,12 +122,7 @@ def extract_chain_structure(
             mk |= 1 << x
         run_masks.append(mk)
 
-    # (iv) pairwise disjointness of G + {0, d1}
-    expanded = [mk | shift_mask(mk, d1, q) for mk in run_masks]
-    for i in range(len(runs)):
-        for j in range(i + 1, len(runs)):
-            if expanded[i] & expanded[j]:
-                violations.append(f"condition_iv: runs {i} and {j} overlap after +{{0,d1}}")
+    # (iv) holds: G + {0, d1} = G ∪ {end(G) + d1}, end(G) + d1 is in A, and runs end apart
 
     # link: predecessor(G) = (G - d2) ∩ A^c, one element shorter
     by_mask = {mk: i for i, mk in enumerate(run_masks)}
@@ -137,11 +137,8 @@ def extract_chain_structure(
         else:
             pred[i] = j
 
-    succ: dict[int, int] = {}
-    for i, j in pred.items():
-        if j in succ:
-            violations.append(f"chain_partition: run {j} feeds two successors")
-        succ[j] = i
+    # one successor per run: two with predecessor G_j both contain G_j + d2, so are one run
+    succ = {j: i for i, j in pred.items()}
 
     chains: list[tuple[tuple[int, ...], ...]] = []
     heads = [i for i, mk in enumerate(run_masks) if mk.bit_count() == 1 and i not in pred]

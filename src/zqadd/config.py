@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
+
+# the builtin module has the same sha256 as hashlib without mapping OpenSSL
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 PROFILES = ("smoke", "desk", "deep")
@@ -26,7 +34,7 @@ class RunConfig:
         """A stable per-task seed: independent tasks get independent
         streams regardless of scheduling order."""
         # the "/0" suffix stays so that every seeded report keeps its bytes
-        digest = hashlib.sha256(f"{self.seed}/{label}/0".encode()).digest()
+        digest = sha256(f"{self.seed}/{label}/0".encode()).digest()
         return int.from_bytes(digest[:8], "big")
 
     def rng(self, label: str) -> random.Random:

@@ -6,7 +6,9 @@ so reports are byte-identical across worker counts.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+# the package's lazy __getattr__ loads concurrent.futures.process and
+# multiprocessing only when a pool is made
+import concurrent.futures
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -19,5 +21,5 @@ def ordered_map(
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
     # the pool forks all its workers up front: no more than there are tasks
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items, chunksize=chunksize))

@@ -226,12 +226,16 @@ def stability(A: ResidueSet) -> StabilityReport:
     STABILITY_BUDGET modifications the status is indeterminate.
     """
     q = A.q
-    k = min_alpha(A)
-    opt = tuple(optimal_differences(A))
+    prof = alpha_profile(A)
+    k = min(prof.values())
+    opt = tuple(t for t, a in prof.items() if a == k)
     if sum(math.comb(q, j) for j in range(k + 1)) > STABILITY_BUDGET:
         return StabilityReport(k, opt, "indeterminate")
 
     for d in opt:
+        # alpha_{q-d}(X) = alpha_d(X) for every X, and q - d < d was scanned
+        if 2 * d > q:
+            break
         for nbr in _neighborhood(A, k):
             if (shift_mask(nbr, d, q) & ~nbr).bit_count() < k:
                 return StabilityReport(k, opt, "unstable", (d, ResidueSet(q, nbr)))

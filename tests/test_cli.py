@@ -103,6 +103,15 @@ class TestErrors:
         assert code == EXIT_ERROR and out == "" and "budget" in err
 
     @pytest.mark.parametrize(
+        "params, word",
+        [(("--d2", "3", "--k", "-1"), "k_bound"), (("--d2", "0"), "d2"), (("--d2", "12"), "d2")],
+    )
+    def test_chains_rejects_negative_k_and_zero_d2(self, capsys, params, word):
+        # an input error, not a counterexample (exit 2)
+        code, out, err = run(capsys, "chains", "--q", "12", "--set", "0,1,2,5,7", "--d1", "1", *params)
+        assert code == EXIT_ERROR and out == "" and word in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("mu", "--p", "7", "--budget-seconds", "1"),

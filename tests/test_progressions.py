@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -228,6 +229,27 @@ def test_uniqueness_is_affine_invariant(case):
     assert w.classification.startswith("exception_") == v.classification.startswith("exception_")
 
 
+def stability_by_scan(q, A):
+    """(k, optimal differences, first (d, X) with alpha_d(X) < k) for the set
+    A, with plain sets: every optimal difference d ascending, d > q/2 too,
+    against every X with |X ^ A| <= k, by size of X ^ A and then
+    lexicographically."""
+
+    def alpha_of(X, d):
+        return len({(x + d) % q for x in X} - X)
+
+    profile = {d: alpha_of(A, d) for d in range(1, q)}
+    k = min(profile.values())
+    opt = tuple(d for d in range(1, q) if profile[d] == k)
+    for d in opt:
+        for j in range(k + 1):
+            for delta in combinations(range(q), j):
+                X = A ^ set(delta)
+                if alpha_of(X, d) < k:
+                    return k, opt, (d, X)
+    return k, opt, None
+
+
 class TestStability:
     def test_interval_stable(self):
         rep = stability(interval(0, 5, 20))
@@ -239,6 +261,21 @@ class TestStability:
         rep = stability(A)
         assert rep.k == 2 and rep.status == "unstable"
         assert rep.witness is not None
+
+    def test_matches_a_scan_of_every_optimal_difference(self):
+        rng = random.Random(11)
+        statuses = set()
+        for _ in range(400):
+            q = rng.randrange(3, 15)
+            A = set(rng.sample(range(q), rng.randrange(1, q)))
+            rep = stability(S(q, A))
+            k, opt, witness = stability_by_scan(q, A)
+            assert (rep.k, rep.optimal_differences) == (k, opt)
+            assert rep.status == ("stable" if witness is None else "unstable")
+            if witness is not None:
+                assert (rep.witness[0], set(rep.witness[1].elements)) == witness
+            statuses.add(rep.status)
+        assert statuses == {"stable", "unstable"}
 
     def test_indeterminate_on_tiny_budget(self, monkeypatch):
         monkeypatch.setattr(progressions, "STABILITY_BUDGET", 10)

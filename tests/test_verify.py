@@ -224,7 +224,7 @@ def test_ordered_map_starts_at_most_one_process_per_task(workers, tasks, started
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(parallel.concurrent.futures, "ProcessPoolExecutor", SerialPool)
     assert parallel.ordered_map(abs, range(-tasks, 0), workers) == list(range(tasks, 0, -1))
     assert pools == [started]
 
