@@ -343,9 +343,8 @@ def _layout_witnesses(p: int, k: int) -> tuple[list[int], int]:
     - surviving differences (_dead_differences): a d dies once the known
       prefix K shows A + d leaving S, or E leaving A + d; K only grows, so
       a dead d stays dead, and at K = Z_p the survivors, with alpha_1
-      minimal, are the d with A + d inside S.  It is checked as each gap
-      is placed (K ends at the next run's first point) and again as each
-      run is placed (K ends at the gap point after it);
+      minimal, are the d with A + d inside S.  It is checked as each run
+      is placed (K ends at the gap point after it), and at the leaf;
     - leaf: alpha_d >= r for d = 2 .. p//2, as alpha_{p-d} = alpha_d.
     """
     every_d, dead = _dead_differences(p)
@@ -385,9 +384,6 @@ def _layout_witnesses(p: int, k: int) -> tuple[list[int], int]:
                 continue
             pos = end + g
             nodes += 1
-            live_g = live & ~dead(mask | 1 << pos, (2 << pos) - 1)
-            if not live_g:
-                continue
             for l2 in range(min(left, l1), 0, -1):
                 more = -(-(left - l2) // l1)  # runs still to come after this one
                 if r + 1 + more > rmax or more >= spare - g:
@@ -395,9 +391,9 @@ def _layout_witnesses(p: int, k: int) -> tuple[list[int], int]:
                 nodes += 1
                 m = mask | ((1 << l2) - 1) << pos
                 if l2 == left:
-                    complete(m, live_g, r + 1, (l2, spare - g), first or (l, g), seen)
+                    complete(m, live, r + 1, (l2, spare - g), first or (l, g), seen)
                     continue
-                alive = live_g & ~dead(m, (2 << pos + l2) - 1)
+                alive = live & ~dead(m, (2 << pos + l2) - 1)
                 if alive:
                     grow(m, pos + l2, alive, r + 1, l2, first or (l, g), seen)
 
@@ -479,7 +475,8 @@ def compute_mu(p: int, strategy: str = "bounded") -> MuRecord:
     canon = sorted(classes)
     sqrt_bound = math.sqrt(8 * p + 25) - 5
     log4_bound = math.log(p, 4)
-    holds = mu > log4_bound and (mu >= 2 * p / 3 or mu >= sqrt_bound - 1e-9)
+    # mu > log_4 p, and mu >= 2p/3 or mu >= sqrt(8p + 25) - 5, in integers
+    holds = 4**mu > p and (3 * mu >= 2 * p or (mu + 5) ** 2 >= 8 * p + 25)
     return MuRecord(
         p,
         mu,

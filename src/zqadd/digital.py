@@ -463,7 +463,6 @@ class TheoremMainReport:
     hypothesis_holds: int
     vacuous: int
     checked: int
-    skipped: list
     counterexamples: list
 
 
@@ -488,7 +487,6 @@ def verify_impact_extension(
     rng = random.Random(seed)
     hyp_holds = vacuous = checked = 0
     counterexamples = []
-    skipped = []
     for _ in range(samples):
         A = sample_digital_set(m, q, rng)
         ok = True
@@ -503,14 +501,10 @@ def verify_impact_extension(
         for n in window:
             if not 2 <= n <= q - m - k - 1:
                 continue
-            try:
-                val = xi_exact(A, n)
-            except BudgetExceededError:
-                skipped.append({"set": list(A.elements), "n": n, "reason": "budget"})
-                continue
+            val = xi_exact(A, n)
             checked += 1
             if val < n + m + k:
                 counterexamples.append({"set": list(A.elements), "n": n, "xi": val})
     return TheoremMainReport(
-        m, q, k, samples, hyp_holds, vacuous, checked, skipped, counterexamples
+        m, q, k, samples, hyp_holds, vacuous, checked, counterexamples
     )

@@ -4,7 +4,6 @@ and by branch-and-bound, plus the inequality checkers built on it."""
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
@@ -231,71 +230,44 @@ def pluennecke_subset(A: ResidueSet, B: ResidueSet) -> PluenneckeReport:
     """The nonempty A' ⊆ A minimizing |A' + 2B| / |A'|, compared against
     beta^2 with beta = |A+B|/|A|.
 
-    Exact when |A| <= PLUENNECKE_EXACT_CAP, by a branch-and-bound DFS over all
-    subsets that returns the first minimizer in DFS order; randomized
-    descent (exact=False) beyond.
+    Exact, by a branch-and-bound DFS over all subsets that returns the
+    first minimizer in DFS order; BudgetExceededError when |A| >
+    PLUENNECKE_EXACT_CAP.
     """
     A._check_same(B)
     if A.mask == 0 or B.mask == 0:
         raise ValueError("pluennecke_subset needs nonempty sets")
+    m = A.size
+    if m > PLUENNECKE_EXACT_CAP:
+        raise BudgetExceededError(f"pluennecke_subset: |A| = {m} exceeds {PLUENNECKE_EXACT_CAP}")
     q = A.q
-    beta = Fraction(sumset(A, B).size, A.size)
+    beta = Fraction(sumset(A, B).size, m)
     bb = sumset_mask(B.mask, B.mask, q)
     elems = A.elements
-    m = len(elems)
     shifts = [shift_mask(bb, a, q) for a in elems]
 
-    if m <= PLUENNECKE_EXACT_CAP:
-        # incumbent ratio bn/bd, compared by cross-multiplying; q+1 is
-        # beaten by every nonempty subset, whose ratio is at most q
-        bn, bd = q + 1, 1
-        best_mask = 0
-        # shared-prefix DFS over subsets of A
-        stack = [(0, 0, 0, 0)]  # (index, chosen_mask, size, union)
-        while stack:
-            i, chosen, size, union = stack.pop()
-            u = union.bit_count()
-            # Prune: this node and its descendants add only elements of
-            # index >= i, so each has size <= size + m - i and a union of
-            # >= u elements, hence ratio >= u / (size + m - i) >= bn / bd,
-            # and none beats the incumbent strictly.  The update below is
-            # strict too, so best_mask stays the first minimizer in DFS order.
-            if u * bd >= bn * (size + m - i):
-                continue
-            if size and u * bd < bn * size:
-                bn, bd = u, size
-                best_mask = chosen
-            for j in range(m - 1, i - 1, -1):
-                stack.append((j + 1, chosen | (1 << elems[j]), size + 1, union | shifts[j]))
-        return PluenneckeReport(beta, ResidueSet(q, best_mask), Fraction(bn, bd), True)
-
-    rng = random.Random(0)
-    current = list(range(m))
-    best_ratio = _subset_ratio(current, shifts)
-    best = list(current)
-    for _ in range(200 * m):
-        cand = list(best)
-        j = rng.randrange(m)
-        if j in cand:
-            if len(cand) > 1:
-                cand.remove(j)
-        else:
-            cand.append(j)
-        r = _subset_ratio(cand, shifts)
-        if r < best_ratio:
-            best_ratio = r
-            best = cand
-    mask = 0
-    for j in best:
-        mask |= 1 << elems[j]
-    return PluenneckeReport(beta, ResidueSet(q, mask), best_ratio, False)
-
-
-def _subset_ratio(idxs, shifts) -> Fraction:
-    union = 0
-    for j in idxs:
-        union |= shifts[j]
-    return Fraction(union.bit_count(), len(idxs))
+    # incumbent ratio bn/bd, compared by cross-multiplying; q+1 is
+    # beaten by every nonempty subset, whose ratio is at most q
+    bn, bd = q + 1, 1
+    best_mask = 0
+    # shared-prefix DFS over subsets of A
+    stack = [(0, 0, 0, 0)]  # (index, chosen_mask, size, union)
+    while stack:
+        i, chosen, size, union = stack.pop()
+        u = union.bit_count()
+        # Prune: this node and its descendants add only elements of
+        # index >= i, so each has size <= size + m - i and a union of
+        # >= u elements, hence ratio >= u / (size + m - i) >= bn / bd,
+        # and none beats the incumbent strictly.  The update below is
+        # strict too, so best_mask stays the first minimizer in DFS order.
+        if u * bd >= bn * (size + m - i):
+            continue
+        if size and u * bd < bn * size:
+            bn, bd = u, size
+            best_mask = chosen
+        for j in range(m - 1, i - 1, -1):
+            stack.append((j + 1, chosen | (1 << elems[j]), size + 1, union | shifts[j]))
+    return PluenneckeReport(beta, ResidueSet(q, best_mask), Fraction(bn, bd), True)
 
 
 # ---------------------------------------------------------------------------

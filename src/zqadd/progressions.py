@@ -9,6 +9,7 @@ from itertools import combinations
 from typing import Optional
 
 from .core import (
+    BudgetExceededError,
     ResidueSet,
     Subgroup,
     affine_maps,
@@ -211,7 +212,7 @@ def check_uniqueness(A: ResidueSet) -> UniquenessVerdict:
 class StabilityReport:
     k: int
     optimal_differences: tuple[int, ...]
-    status: str  # stable | unstable | indeterminate
+    status: str  # stable | unstable
     witness: Optional[tuple[int, ResidueSet]] = None
 
 
@@ -222,15 +223,16 @@ def stability(A: ResidueSet) -> StabilityReport:
     """Decide whether A has k stable components, k = min_t alpha_t(A).
 
     Enumerates every modification A~ of A with |A~ Δ A| <= k and tests
-    |(A~ + d) \\ A~| >= k for each optimal difference d.  Past
-    STABILITY_BUDGET modifications the status is indeterminate.
+    |(A~ + d) \\ A~| >= k for each optimal difference d; BudgetExceededError
+    past STABILITY_BUDGET modifications.
     """
     q = A.q
     prof = alpha_profile(A)
     k = min(prof.values())
     opt = tuple(t for t, a in prof.items() if a == k)
-    if sum(math.comb(q, j) for j in range(k + 1)) > STABILITY_BUDGET:
-        return StabilityReport(k, opt, "indeterminate")
+    modifications = sum(math.comb(q, j) for j in range(k + 1))
+    if modifications > STABILITY_BUDGET:
+        raise BudgetExceededError(f"stability: {modifications} modifications of A exceed budget {STABILITY_BUDGET}")
 
     for d in opt:
         # alpha_{q-d}(X) = alpha_d(X) for every X, and q - d < d was scanned

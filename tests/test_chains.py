@@ -297,13 +297,13 @@ class TestMu:
         assert rec.bounds_hold
 
     def test_search_node_ceiling(self):
-        # 66,775 nodes with every cut; without one of them: 70,429 (p - 1
-        # in test (ii)), 76,159 (a tie on l_1 caps g), 80,222 (the check
-        # after a run), 89,778 (the check after a gap), 102,765 (the run
-        # bound), 105,564 (gap lengths), 121,187 (test (ii)), 157,777 (the
-        # rotation rule): losing a cut fails this test
+        # 89,778 nodes with every cut; without one of them: 94,941 (p - 1
+        # in test (ii)), 103,454 (a tie on l_1 caps g), 141,480 (the run
+        # bound), 142,704 (test (ii)), 157,902 (the check after a run),
+        # 166,417 (gap lengths), 215,191 (the rotation rule): losing a cut
+        # fails this test
         rec = compute_mu(23)
-        assert rec.nodes <= 68_000
+        assert rec.nodes == 89_778
 
     def test_mu7_sqrt_bound_tight(self):
         rec = compute_mu(7)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from zqadd import progressions
 from zqadd.chains import compute_mu
 from zqadd.cli import (
     EXIT_BUDGET,
@@ -101,6 +102,12 @@ class TestErrors:
         # a budget below 0 is an input error, not a spent budget (exit 3)
         code, out, err = run(capsys, "xi", "--q", "12", "--set", "0,1,5", "--n", "4", "--budget-nodes", "-1")
         assert code == EXIT_ERROR and out == "" and "budget" in err
+
+    def test_stability_over_budget(self, capsys, monkeypatch):
+        # a spent budget prints no report, only the reason
+        monkeypatch.setattr(progressions, "STABILITY_BUDGET", 10)
+        code, out, err = run(capsys, "stability", "--q", "20", "--set", "0,1,2,3,4,5")
+        assert code == EXIT_BUDGET and out == "" and "budget exhausted" in err
 
     @pytest.mark.parametrize(
         "params, word",

@@ -272,6 +272,13 @@ class TestPluennecke:
             assert rep.exact
             assert rep.holds
 
+    def test_raises_past_the_exact_cap(self):
+        cap = impact.PLUENNECKE_EXACT_CAP
+        B = S(40, [0, 1])
+        assert pluennecke_subset(S(40, range(cap)), B).exact
+        with pytest.raises(BudgetExceededError):
+            pluennecke_subset(S(40, range(cap + 1)), B)
+
 
 def pluennecke_oracle(A, B, cache):
     """(beta, least ratio, first minimizer) by scanning every nonempty

@@ -3,6 +3,7 @@
 import ast
 import re
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -24,12 +25,27 @@ AWAITING_A_SUITE = {
 }
 
 
+def top_level_statements(body: list) -> Iterator[ast.stmt]:
+    """The statements of body and, recursively, of the blocks of its try
+    and if statements: those that run at import time."""
+    for node in body:
+        yield node
+        if isinstance(node, ast.Try):
+            blocks = [node.body, *(h.body for h in node.handlers), node.orelse, node.finalbody]
+        elif isinstance(node, ast.If):
+            blocks = [node.body, node.orelse]
+        else:
+            continue
+        for block in blocks:
+            yield from top_level_statements(block)
+
+
 def unused_imports(source: str) -> list[str]:
     """Names bound by a top-level import that nothing else in the module
     mentions."""
     tree = ast.parse(source)
     imported = {}
-    for node in tree.body:
+    for node in top_level_statements(tree.body):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
@@ -43,6 +59,7 @@ def unused_imports(source: str) -> list[str]:
 def test_checker_finds_an_unused_import():
     assert unused_imports("import math\nimport os\nx = math.pi\n") == ["line 2: os"]
     assert unused_imports("from a import b as c\nc()\n") == []
+    assert unused_imports("try:\n    import os\nexcept ImportError:\n    pass\n") == ["line 2: os"]
 
 
 def imports_in_functions(source: str) -> list[str]:

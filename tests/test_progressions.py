@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zqadd import progressions
-from zqadd.core import ResidueSet, interval
+from zqadd.core import BudgetExceededError, ResidueSet, interval
 from zqadd.progressions import (
     alpha,
     alpha_profile,
@@ -277,10 +277,10 @@ class TestStability:
             statuses.add(rep.status)
         assert statuses == {"stable", "unstable"}
 
-    def test_indeterminate_on_tiny_budget(self, monkeypatch):
+    def test_raises_on_tiny_budget(self, monkeypatch):
         monkeypatch.setattr(progressions, "STABILITY_BUDGET", 10)
-        rep = stability(S(30, list(range(10)) + [15, 20, 25]))
-        assert rep.status == "indeterminate"
+        with pytest.raises(BudgetExceededError):
+            stability(S(30, list(range(10)) + [15, 20, 25]))
 
 
 class TestMultiDecompositionFamily:

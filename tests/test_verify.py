@@ -1,7 +1,7 @@
 """The pair sweep of sumset_inequalities over translation classes: class
 counts, coverage, both Sidon orientations, a planted fault, and the
 translation invariance the reduction rests on; the strategy cross-check
-of the mu suite; inexact Pluennecke results are skipped, not passed;
+of the mu suite; a Pluennecke sample past the exact cap stops the suite;
 run_suites names only unknown suites; ordered_map sizes its pool by the
 tasks."""
 
@@ -15,7 +15,15 @@ from hypothesis import strategies as st
 from zqadd import impact, parallel, verify
 from zqadd.chains import compute_mu
 from zqadd.config import RunConfig
-from zqadd.core import KneserReport, ResidueSet, kneser_check, shift_mask, shift_table, translation_classes
+from zqadd.core import (
+    BudgetExceededError,
+    KneserReport,
+    ResidueSet,
+    kneser_check,
+    shift_mask,
+    shift_table,
+    translation_classes,
+)
 from zqadd.impact import sidon_check, sidon_sumset_bound_check
 
 
@@ -79,7 +87,7 @@ def test_sidon_bound_checked_in_both_orientations(q, monkeypatch):
 
 
 def test_unflagged_pair_checks_sidon_in_both_orientations(monkeypatch):
-    # the sampled pairs pass no Sidon flags: each set is tested as the Sidon set
+    # called without Sidon flags, it tests each set as the Sidon set
     seen = []
 
     def record(A, B):
@@ -182,24 +190,11 @@ def test_a_dropped_translation_class_is_caught(monkeypatch):
         verify.suite_sumset_inequalities(RunConfig(seed=1, profile="smoke"))
 
 
-def test_inexact_pluennecke_is_skipped_not_counted(monkeypatch):
-    cap = 12  # below the 13..16 elements of the dedicated large samples
-    seen = []
-
-    def recorded(A, B):
-        rep = impact.pluennecke_subset(A, B)
-        seen.append((A.elements, rep.exact))
-        return rep
-
-    monkeypatch.setattr(impact, "PLUENNECKE_EXACT_CAP", cap)
-    monkeypatch.setattr(verify, "pluennecke_subset", recorded)
-    report = verify.suite_sumset_inequalities(RunConfig(seed=1, profile="smoke"))
-    inexact = [elems for elems, exact in seen if not exact]
-    assert len(inexact) == verify._SCALE["smoke"]["pluennecke_large_samples"]
-    assert all(len(elems) > cap for elems in inexact)
-    assert report["pluennecke_exact_instances"] == len(seen) - len(inexact)
-    assert [tuple(s["A"]) for s in report["skipped"]] == inexact
-    assert all(s["inequality"] == "pluennecke" and s["reason"] == "inexact" for s in report["skipped"])
+def test_pluennecke_past_the_cap_stops_the_suite(monkeypatch):
+    # a cap of 12 lies below the 13..16 elements of the dedicated large samples
+    monkeypatch.setattr(impact, "PLUENNECKE_EXACT_CAP", 12)
+    with pytest.raises(BudgetExceededError):
+        verify.suite_sumset_inequalities(RunConfig(seed=1, profile="smoke"))
 
 
 def test_unknown_suites_are_named_alone():
