@@ -115,12 +115,6 @@ def optimal_differences(A: ResidueSet) -> list[int]:
     return [t for t, a in sorted(prof.items()) if a == k]
 
 
-def coset_density_ok(A: ResidueSet) -> bool:
-    """True iff |A ∩ (H+t)| < |H|/2 for every proper nontrivial subgroup H
-    and every coset."""
-    return all(2 * max(coset_counts(A.mask, H)) < H.order for H in proper_nontrivial_subgroups(A.q))
-
-
 def contained_in_coset(A: ResidueSet) -> Optional[Subgroup]:
     """The largest proper nontrivial subgroup H with A inside a single coset
     of H, if one exists."""
@@ -253,39 +247,3 @@ def _neighborhood(A: ResidueSet, k: int):
             for x in delta:
                 m ^= 1 << x
             yield m
-
-
-# ---------------------------------------------------------------------------
-# the coset-dense counterexample family
-
-
-def multi_decomposition_family(k: int, q: int) -> ResidueSet:
-    """The k-interval set [0, 2k-1] ∪ ⋃_i [iq/k + i, iq/k + 2k - 1 + i]
-    that is also a union of k progressions of difference q/k + 1.
-
-    Requires k | q.
-    """
-    if k < 1 or q % k != 0:
-        raise ValueError("family needs k | q")
-    mask = interval(0, 2 * k - 1, q).mask
-    step = q // k
-    for i in range(1, k):
-        mask |= interval(i * step + i, i * step + 2 * k - 1 + i, q).mask
-    return ResidueSet(q, mask)
-
-
-def find_stable_multi_decomposition_instance(
-    k: int, q_max: int
-) -> Optional[tuple[int, ResidueSet]]:
-    """Search q with k | q for an instance of the family above that has k
-    stable components and a genuinely different optimal difference."""
-    for q in range(k * (k + 3), q_max + 1, k):
-        A = multi_decomposition_family(k, q)
-        if min_alpha(A) != k:
-            continue
-        opt = optimal_differences(A)
-        if not any(d not in (1, q - 1) for d in opt):
-            continue
-        if stability(A).status == "stable":
-            return q, A
-    return None

@@ -3,7 +3,8 @@ against brute-force oracles at a configurable scale.
 
 Each suite returns a plain dict that serializes to canonical JSON.  Wall
 times never enter the structured output, so reports are byte-identical
-across runs and worker counts; timing goes to stderr.
+across runs and worker counts; timing goes to stderr, one JSON line per
+suite.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import sys
 import time
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Optional
 
 from .config import RunConfig
@@ -87,32 +89,57 @@ _SCALE = {
 
 
 def _suite(name: str, instances: int, counterexamples: list, **extra) -> dict:
-    out = {
+    return {
         "suite": name,
         "passed": not counterexamples,
         "instances": instances,
         "counterexamples": counterexamples,
         "skipped": [],
+        **extra,
     }
-    out.update(extra)
-    return out
 
 
 def _random_proper_subset(rng, q: int) -> ResidueSet:
-    mask = rng.randrange(1, (1 << q) - 1)
-    return ResidueSet(q, mask)
+    return ResidueSet(q, rng.randrange(1, (1 << q) - 1))
 
 
-def _sweep(chunk, spans: list[tuple[int, int, int]], parts: int, workers: int) -> tuple[list[int], list]:
-    """Run chunk on tasks (q, lo, hi), about 1/parts of each span (q, first,
-    end); chunk returns (*counts, entries): sum each count, join entries."""
+# A check yields one (weight, violations) pair per instance it decides:
+# weight is the number of sets the instance stands for (for a delegating
+# suite, the instances its engine run decided), and violations lists the
+# instance's counterexamples.  Every suite counts through _tally.
+
+
+def _tally(checks) -> tuple[int, int, list]:
+    """(instances, their summed weight, the violations in order)."""
+    instances = covered = 0
+    bad = []
+    for weight, violations in checks:
+        instances += 1
+        covered += weight
+        bad += violations
+    return instances, covered, bad
+
+
+def _add(*tallies: tuple[int, int, list]) -> tuple[int, int, list]:
+    """The tally of the joined streams."""
+    instances, covered, bad = zip(*tallies)
+    return sum(instances), sum(covered), [v for b in bad for v in b]
+
+
+def _task_tally(task: tuple) -> tuple[int, int, list]:
+    checks, q, lo, hi = task
+    return _tally(c for i in range(lo, hi) for c in checks(q, i))
+
+
+def _sweep(checks, spans: list[tuple[int, int, int]], parts: int, workers: int) -> tuple[int, int, list]:
+    """The tally of checks(q, i) for each span (q, first, end) and i in it,
+    run as tasks of about 1/parts of a span.  checks is a module-level
+    function, so that the tasks pickle."""
     tasks = []
     for q, first, end in spans:
         step = max(1, (end - first) // parts)
-        for lo in range(first, end, step):
-            tasks.append((q, lo, min(lo + step, end)))
-    results = ordered_map(chunk, tasks, workers, chunksize=1)
-    return [sum(col) for col in zip(*(r[:-1] for r in results))], [e for r in results for e in r[-1]]
+        tasks += [(checks, q, lo, min(lo + step, end)) for lo in range(first, end, step)]
+    return _add(*ordered_map(_task_tally, tasks, workers, 1))
 
 
 def _proper_masks(q_values: range) -> list[tuple[int, int, int]]:
@@ -120,40 +147,28 @@ def _proper_masks(q_values: range) -> list[tuple[int, int, int]]:
     return [(q, 1, (1 << q) - 1) for q in q_values]
 
 
+def _command(verb: str, A: ResidueSet, option: str) -> str:
+    return f"zqadd {verb} --q {A.q} --set {','.join(map(str, sorted(A.elements)))} {option}"
+
+
 # ---------------------------------------------------------------------------
 # 1. oracle equivalence
 
 
-def _oracle_chunk(args: tuple[int, int, int]) -> tuple[int, list]:
-    q, lo, hi = args
-    bad = []
-    count = 0
-    for mask in range(lo, hi):
-        A = ResidueSet(q, mask)
-        for n in range(0, q + 1):
-            if n > q - A.size:
-                break  # xi = q beyond this point; covered by boundary suite
-            count += 1
-            rn = xi_naive(A, n)
-            rs = xi_search(A, n)
-            if rn.value != rs.value or rn.witness != rs.witness:
-                bad.append(
-                    {
-                        "q": q,
-                        "set": sorted(A.elements),
-                        "n": n,
-                        "naive": rn.value,
-                        "search": rs.value,
-                        "command": f"zqadd xi --q {q} --set "
-                        f"{','.join(map(str, sorted(A.elements)))} --n {n}",
-                    }
-                )
-    return count, bad
+def _oracle_checks(q: int, mask: int):
+    A = ResidueSet(q, mask)
+    # xi = q beyond n = q - |A|; covered by the boundary suite
+    for n in range(q - A.size + 1):
+        rn, rs = xi_naive(A, n), xi_search(A, n)
+        yield 1, [] if rn.value == rs.value and rn.witness == rs.witness else [
+            {"q": q, "set": sorted(A.elements), "n": n, "naive": rn.value, "search": rs.value,
+             "command": _command("xi", A, f"--n {n}")}
+        ]
 
 
 def suite_oracle_equivalence(cfg: RunConfig) -> dict:
     scale = _SCALE[cfg.profile]
-    (total,), bad = _sweep(_oracle_chunk, _proper_masks(range(1, scale["q_max"] + 1)), 16, cfg.workers)
+    total, _, bad = _sweep(_oracle_checks, _proper_masks(range(1, scale["q_max"] + 1)), 16, cfg.workers)
     return _suite("oracle_equivalence", total, bad, q_max=scale["q_max"])
 
 
@@ -161,56 +176,37 @@ def suite_oracle_equivalence(cfg: RunConfig) -> dict:
 # 2. identities
 
 
-def _identity_violation(A: ResidueSet, t: int) -> Optional[dict]:
-    q = A.q
+def _identity_check(A: ResidueSet, t: int) -> tuple[int, list]:
     dec = decompose(A, t)
-    lhs = sumset_mask(A.mask, 1 | 1 << t, q).bit_count()
+    lhs = sumset_mask(A.mask, 1 | 1 << t, A.q).bit_count()
     a = alpha(A, t)
-    if dec.alpha != a or lhs != A.size + a or dec.reassemble() != A:
-        return {
-            "q": q,
-            "set": sorted(A.elements),
-            "t": t,
-            "sumset_size": lhs,
-            "alpha": a,
-            "decomposition_alpha": dec.alpha,
-            "command": f"zqadd alpha --q {q} --set "
-            f"{','.join(map(str, sorted(A.elements)))} --d1 {t}",
-        }
-    return None
+    return 1, [] if dec.alpha == a and lhs == A.size + a and dec.reassemble() == A else [
+        {"q": A.q, "set": sorted(A.elements), "t": t, "sumset_size": lhs, "alpha": a,
+         "decomposition_alpha": dec.alpha, "command": _command("alpha", A, f"--d1 {t}")}
+    ]
 
 
-def _identity_chunk(args: tuple[int, int, int]) -> tuple[int, list]:
-    q, lo, hi = args
-    bad = []
-    count = 0
-    for mask in range(lo, hi):
-        A = ResidueSet(q, mask)
-        for t in range(1, q):
-            count += 1
-            v = _identity_violation(A, t)
-            if v is not None:
-                bad.append(v)
-        count += 1
-        if xi_search(A, 2).value != A.size + min_alpha(A) and A.size <= q - 2:
-            bad.append({"q": q, "set": sorted(A.elements), "identity": "xi2"})
-    return count, bad
+def _identity_checks(q: int, mask: int):
+    A = ResidueSet(q, mask)
+    for t in range(1, q):
+        yield _identity_check(A, t)
+    ok = xi_search(A, 2).value == A.size + min_alpha(A) or A.size > q - 2
+    yield 1, [] if ok else [{"q": q, "set": sorted(A.elements), "identity": "xi2"}]
+
+
+def _sampled_identity_checks(rng, samples: int):
+    for _ in range(samples):
+        q = rng.randrange(2, 65)
+        A = _random_proper_subset(rng, q)
+        yield _identity_check(A, rng.randrange(1, q))
 
 
 def suite_identities(cfg: RunConfig) -> dict:
     scale = _SCALE[cfg.profile]
-    q_values = range(2, scale["q_max"] + 1)
-    (total,), bad = _sweep(_identity_chunk, _proper_masks(q_values), 16, cfg.workers)
-
-    rng = cfg.rng("identities")
-    for _ in range(scale["identity_samples"]):
-        q = rng.randrange(2, 65)
-        A = _random_proper_subset(rng, q)
-        t = rng.randrange(1, q)
-        total += 1
-        v = _identity_violation(A, t)
-        if v is not None:
-            bad.append(v)
+    total, _, bad = _add(
+        _sweep(_identity_checks, _proper_masks(range(2, scale["q_max"] + 1)), 16, cfg.workers),
+        _tally(_sampled_identity_checks(cfg.rng("identities"), scale["identity_samples"])),
+    )
     return _suite("identities", total, bad, q_max=scale["q_max"])
 
 
@@ -218,40 +214,30 @@ def suite_identities(cfg: RunConfig) -> dict:
 # 3. boundary values
 
 
-def suite_boundary_values(cfg: RunConfig) -> dict:
-    scale = _SCALE[cfg.profile]
-    rng = cfg.rng("boundary")
-    bad = []
-    count = 0
-    for _ in range(scale["boundary_samples"]):
+def _boundary_checks(rng, samples: int):
+    for _ in range(samples):
         q = rng.randrange(3, 15)
         A = _random_proper_subset(rng, q)
         m = A.size
-        count += 1
         # 1 <= m <= q-1.  xi(q-m) = q - |H(A)|: the missed sums form a coset
         # of the period group, so q-1 exactly when A is aperiodic
         n_over = rng.randrange(q - m + 1, q + 1)
-        checks = [(1, m), (q - m, q - period_group(A).order), (n_over, q)]
-        for n, expect in checks:
-            got = xi_naive(A, n).value
-            if got != expect:
-                bad.append(
-                    {
-                        "q": q,
-                        "set": sorted(A.elements),
-                        "n": n,
-                        "expected": expect,
-                        "got": got,
-                        "command": f"zqadd xi --q {q} --set "
-                        f"{','.join(map(str, sorted(A.elements)))} --n {n}",
-                    }
-                )
+        expected = [(1, m), (q - m, q - period_group(A).order), (n_over, q)]
+        yield 1, [
+            {"q": q, "set": sorted(A.elements), "n": n, "expected": expect, "got": got,
+             "command": _command("xi", A, f"--n {n}")}
+            for n, expect in expected
+            if (got := xi_naive(A, n).value) != expect
+        ]
         # a large-q spot check of xi(1) = |A| alone (cheap at any q)
         q2 = rng.randrange(16, 65)
         A2 = _random_proper_subset(rng, q2)
-        count += 1
-        if xi_naive(A2, 1).value != A2.size:
-            bad.append({"q": q2, "set": sorted(A2.elements), "n": 1, "identity": "xi1"})
+        ok = xi_naive(A2, 1).value == A2.size
+        yield 1, [] if ok else [{"q": q2, "set": sorted(A2.elements), "n": 1, "identity": "xi1"}]
+
+
+def suite_boundary_values(cfg: RunConfig) -> dict:
+    count, _, bad = _tally(_boundary_checks(cfg.rng("boundary"), _SCALE[cfg.profile]["boundary_samples"]))
     return _suite("boundary_values", count, bad)
 
 
@@ -270,14 +256,8 @@ def _inequality_instance(
     kn = kneser_check(A, B)
     if not kn.holds:
         out.append(
-            {
-                "inequality": "kneser",
-                "q": A.q,
-                "A": sorted(A.elements),
-                "B": sorted(B.elements),
-                "lhs": kn.lhs,
-                "rhs": kn.rhs,
-            }
+            {"inequality": "kneser", "q": A.q, "A": sorted(A.elements), "B": sorted(B.elements),
+             "lhs": kn.lhs, "rhs": kn.rhs}
         )
     if a_sidon is None:
         a_sidon = sidon_check(A)
@@ -288,13 +268,8 @@ def _inequality_instance(
             sb = sidon_sumset_bound_check(X, Y)
             if not sb.holds:
                 out.append(
-                    {
-                        "inequality": "sidon_sumset",
-                        "q": X.q,
-                        "A": sorted(X.elements),
-                        "B": sorted(Y.elements),
-                        "sumset_size": sb.sumset_size,
-                    }
+                    {"inequality": "sidon_sumset", "q": X.q, "A": sorted(X.elements),
+                     "B": sorted(Y.elements), "sumset_size": sb.sumset_size}
                 )
     return out
 
@@ -305,82 +280,74 @@ def _sidon_flags(q: int) -> tuple[bool, ...]:
     return tuple(sidon_check(ResidueSet(q, rep)) for rep, _ in translation_classes(q))
 
 
-def _pluennecke_check(A: ResidueSet, B: ResidueSet, bad: list) -> None:
-    """Check Pluennecke's bound on (A, B), which the search decides exactly."""
+def _pluennecke_violations(A: ResidueSet, B: ResidueSet) -> list:
+    """Pluennecke's bound on (A, B), which the search decides exactly."""
     rep = pluennecke_subset(A, B)
-    if not rep.holds:
-        bad.append(
-            {
-                "inequality": "pluennecke",
-                "q": A.q,
-                "A": sorted(A.elements),
-                "B": sorted(B.elements),
-                "ratio": str(rep.ratio),
-                "beta": str(rep.beta),
-            }
-        )
+    return [] if rep.holds else [
+        {"inequality": "pluennecke", "q": A.q, "A": sorted(A.elements), "B": sorted(B.elements),
+         "ratio": str(rep.ratio), "beta": str(rep.beta)}
+    ]
 
 
-def _ineq_chunk(args: tuple[int, int, int]) -> tuple[int, int, list]:
-    """Rows lo .. hi-1 of the unordered pairs (i <= j) of translation
-    classes of Z_q: (pairs checked, mask pairs covered, violations)."""
+def _class_pair_checks(q: int, i: int):
+    """Row i of the unordered pairs (i <= j) of translation classes of Z_q,
+    each weighted by the mask pairs it covers."""
     # Both bounds are unchanged under A -> A+s, B -> B+t, since
     # (A+s)+(B+t) = (A+B)+(s+t) keeps |A+B| and the period group H, and
     # |A+s+H| = |A+H|; Kneser's bound is also symmetric in A and B.  So the
     # class representatives stand for every pair of their classes.
-    q, lo, hi = args
     classes = translation_classes(q)
     sidon = _sidon_flags(q)
-    bad = []
-    count = covered = 0
-    for i in range(lo, hi):
-        amask, asize = classes[i]
-        A = ResidueSet(q, amask)
-        for j in range(i, len(classes)):
-            bmask, bsize = classes[j]
-            count += 1
-            # a class of size n holds n(n+1)/2 unordered pairs of its sets
-            covered += asize * bsize if j > i else asize * (asize + 1) // 2
-            bad.extend(_inequality_instance(A, ResidueSet(q, bmask), sidon[i], sidon[j]))
-    return count, covered, bad
+    amask, asize = classes[i]
+    A = ResidueSet(q, amask)
+    for j in range(i, len(classes)):
+        bmask, bsize = classes[j]
+        # a class of size n holds n(n+1)/2 unordered pairs of its sets
+        weight = asize * bsize if j > i else asize * (asize + 1) // 2
+        yield weight, _inequality_instance(A, ResidueSet(q, bmask), sidon[i], sidon[j])
+
+
+def _sampled_pair_checks(rng, samples: int, large: int, exact: list):
+    """Both bounds on random pairs, with Pluennecke's where both sets are
+    small enough, then larger Pluennecke pairs still within the exact cap.
+    exact gets the violations of each Pluennecke check, one list each."""
+    for _ in range(samples):
+        q = rng.randrange(3, 61)
+        A = _random_proper_subset(rng, q)
+        B = _random_proper_subset(rng, q)
+        bad = _inequality_instance(A, B, sidon_check(A), sidon_check(B))
+        if 1 < A.size <= 12 and 1 < B.size <= 12:
+            exact.append(_pluennecke_violations(A, B))
+            bad += exact[-1]
+        yield 1, bad
+    for _ in range(large):
+        q = rng.randrange(20, 61)
+        A = ResidueSet.from_elements(q, rng.sample(range(q), rng.randrange(13, 17)))
+        B = ResidueSet.from_elements(q, rng.sample(range(q), rng.randrange(2, 7)))
+        exact.append(_pluennecke_violations(A, B))
+        yield 1, exact[-1]
 
 
 def suite_sumset_inequalities(cfg: RunConfig) -> dict:
     scale = _SCALE[cfg.profile]
     q_values = range(1, scale["ineq_q_max"] + 1)
-    spans = [(q, 0, len(translation_classes(q))) for q in q_values]
-    (total, covered), bad = _sweep(_ineq_chunk, spans, 24, cfg.workers)
+    swept = _sweep(_class_pair_checks, [(q, 0, len(translation_classes(q))) for q in q_values], 24, cfg.workers)
     # Z_q has T = 2^q - 1 nonempty subsets, so T(T+1)/2 unordered pairs
     expected = sum(T * (T + 1) // 2 for T in ((1 << q) - 1 for q in q_values))
-    if covered != expected:
-        raise AssertionError(f"{covered} mask pairs do not cover the {expected} unordered pairs of nonempty sets")
+    if swept[1] != expected:
+        raise AssertionError(f"{swept[1]} mask pairs do not cover the {expected} unordered pairs of nonempty sets")
 
+    exact = []
     rng = cfg.rng("inequalities")
-    pluennecke = 0
-    samples = scale["ineq_samples"] + scale["pluennecke_large_samples"]
-    for _ in range(scale["ineq_samples"]):
-        q = rng.randrange(3, 61)
-        A = _random_proper_subset(rng, q)
-        B = _random_proper_subset(rng, q)
-        bad.extend(_inequality_instance(A, B, sidon_check(A), sidon_check(B)))
-        if 1 < A.size <= 12 and 1 < B.size <= 12:
-            _pluennecke_check(A, B, bad)
-            pluennecke += 1
-    # dedicated larger Pluennecke instances, still within the exact cap
-    for _ in range(scale["pluennecke_large_samples"]):
-        q = rng.randrange(20, 61)
-        elems = rng.sample(range(q), rng.randrange(13, 17))
-        A = ResidueSet.from_elements(q, elems)
-        B = ResidueSet.from_elements(q, rng.sample(range(q), rng.randrange(2, 7)))
-        _pluennecke_check(A, B, bad)
-        pluennecke += 1
+    sampled = _tally(_sampled_pair_checks(rng, scale["ineq_samples"], scale["pluennecke_large_samples"], exact))
+    total, covered, bad = _add(swept, sampled)
     return _suite(
         "sumset_inequalities",
-        total + samples,
+        total,
         bad,
         q_max=scale["ineq_q_max"],
-        covered_instances=covered + samples,
-        pluennecke_exact_instances=pluennecke,
+        covered_instances=covered,
+        pluennecke_exact_instances=len(exact),
     )
 
 
@@ -388,36 +355,23 @@ def suite_sumset_inequalities(cfg: RunConfig) -> dict:
 # 5. subgroup lemma
 
 
-def suite_subgroup_lemma(cfg: RunConfig) -> dict:
-    scale = _SCALE[cfg.profile]
-    bad = []
-    count = 0
-
-    def check(A: ResidueSet, m: int, q: int):
-        nonlocal count
+def _subgroup_lemma_checks(rng, samples: int):
+    """Each proper nontrivial subgroup against every digital set at (2, 4),
+    (2, 8) and (4, 8), then against sampled digital sets at (6, 36)."""
+    enumerated = ((m, q, w.set) for m, q in ((2, 4), (2, 8), (4, 8)) for w in enumerate_digital_sets(m, q))
+    sampled = ((6, 36, sample_digital_set(6, 36, rng)) for _ in range(samples))
+    for m, q, A in chain(enumerated, sampled):
         for H in proper_nontrivial_subgroups(q):
-            count += 1
             rep = subgroup_lemma_check(A, H)
-            if not rep.holds:
-                bad.append(
-                    {
-                        "m": m,
-                        "q": q,
-                        "set": sorted(A.elements),
-                        "subgroup_order": H.order,
-                        "coset_bound": rep.coset_bound_holds,
-                        "subset_expansion": rep.subset_expansion_holds,
-                        "gcd_bound": rep.gcd_bound_holds,
-                    }
-                )
+            yield 1, [] if rep.holds else [
+                {"m": m, "q": q, "set": sorted(A.elements), "subgroup_order": H.order,
+                 "coset_bound": rep.coset_bound_holds, "subset_expansion": rep.subset_expansion_holds,
+                 "gcd_bound": rep.gcd_bound_holds}
+            ]
 
-    for m, q in ((2, 4), (2, 8), (4, 8)):
-        for w in enumerate_digital_sets(m, q):
-            check(w.set, m, q)
-    rng = cfg.rng("subgroup_lemma")
-    for _ in range(scale["sg_samples"]):
-        A = sample_digital_set(6, 36, rng)
-        check(A, 6, 36)
+
+def suite_subgroup_lemma(cfg: RunConfig) -> dict:
+    count, _, bad = _tally(_subgroup_lemma_checks(cfg.rng("subgroup_lemma"), _SCALE[cfg.profile]["sg_samples"]))
     return _suite("subgroup_lemma", count, bad)
 
 
@@ -426,28 +380,19 @@ def suite_subgroup_lemma(cfg: RunConfig) -> dict:
 
 
 def suite_carry_extremality(cfg: RunConfig) -> dict:
-    scale = _SCALE[cfg.profile]
-    bad = []
-    minima = []
-    count = 0
-    for m in scale["carry_ms"]:
-        rep = verify_carry_extremality(m)
-        count += rep.sets_scanned
-        minima.append(
-            {
-                "m": m,
-                "min_distinct_carries": rep.min_distinct_carries,
-                "min_nonzero_pairs": rep.min_nonzero_pairs,
-            }
-        )
-        if not rep.holds:
-            bad.append(
-                {
-                    "m": m,
-                    "distinct_in_interval_orbit": rep.distinct_minimizers_in_interval_orbit,
-                    "nonzero_in_centered_orbit": rep.nonzero_minimizers_in_centered_orbit,
-                }
-            )
+    ms = _SCALE[cfg.profile]["carry_ms"]
+    reps = [verify_carry_extremality(m) for m in ms]
+    _, count, bad = _tally(
+        (rep.sets_scanned, [] if rep.holds else [
+            {"m": m, "distinct_in_interval_orbit": rep.distinct_minimizers_in_interval_orbit,
+             "nonzero_in_centered_orbit": rep.nonzero_minimizers_in_centered_orbit}
+        ])
+        for m, rep in zip(ms, reps)
+    )
+    minima = [
+        {"m": m, "min_distinct_carries": rep.min_distinct_carries, "min_nonzero_pairs": rep.min_nonzero_pairs}
+        for m, rep in zip(ms, reps)
+    ]
     return _suite("carry_extremality", count, bad, minima=minima)
 
 
@@ -456,17 +401,13 @@ def suite_carry_extremality(cfg: RunConfig) -> dict:
 
 
 def suite_digital_impact_bound(cfg: RunConfig) -> dict:
-    scale = _SCALE[cfg.profile]
-    rep = verify_digital_impact_bound(
-        16,
-        32,
-        samples=scale["digsetteo_samples"],
-        seed=cfg.derived_seed("digital_impact_bound"),
-    )
+    samples = _SCALE[cfg.profile]["digsetteo_samples"]
+    rep = verify_digital_impact_bound(16, 32, samples=samples, seed=cfg.derived_seed("digital_impact_bound"))
+    _, count, bad = _tally([(rep.samples, list(rep.counterexamples))])
     return _suite(
         "digital_impact_bound",
-        rep.samples,
-        list(rep.counterexamples),
+        count,
+        bad,
         two_ap_sets=rep.two_ap_sets,
         checked_sets=rep.checked_sets,
         window=list(IMPACT_WINDOW),
@@ -480,10 +421,10 @@ def suite_digital_impact_bound(cfg: RunConfig) -> dict:
 def suite_small_doubling(cfg: RunConfig) -> dict:
     m, q = _SCALE[cfg.profile]["corollary_mq"]
     rep = verify_small_doubling_classification(m, q)
-    bad = [s for s in rep.solutions if s["normal_form"] is None]
+    _, count, bad = _tally([(rep.sets_scanned, [s for s in rep.solutions if s["normal_form"] is None])])
     return _suite(
         "small_doubling_classification",
-        rep.sets_scanned,
+        count,
         bad,
         m=m,
         q=q,
@@ -497,26 +438,21 @@ def suite_small_doubling(cfg: RunConfig) -> dict:
 
 
 def suite_construction(cfg: RunConfig) -> dict:
-    scale = _SCALE[cfg.profile]
-    bad = []
-    count = 0
-    densities = {}
-    for m in scale["construction_ms"]:
-        count += 1
-        spec = build_construction(m)
-        densities[m] = spec.density
-        if spec.size != spec.closed_form_size:
-            bad.append({"m": m, "size": spec.size, "closed_form": spec.closed_form_size})
+    specs = [build_construction(m) for m in _SCALE[cfg.profile]["construction_ms"]]
+    checks = [
+        (1, [] if s.size == s.closed_form_size else [{"m": s.m, "size": s.size, "closed_form": s.closed_form_size}])
+        for s in specs
+    ]
     # the last m listed is the largest; its density must be within 1/50 of 13/18
+    spec = specs[-1]
     if spec.m >= 8 and 50 * abs(18 * spec.size - 13 * spec.ground) > 18 * spec.ground:
-        bad.append({"m": spec.m, "density": spec.density, "target": 13 / 18})
+        checks[-1][1].append({"m": spec.m, "density": spec.density, "target": 13 / 18})
 
     spec3 = build_construction(3)
     p, A = project_to_prime(spec3)
     fam = construction_chain_family(spec3, p, A)
-    count += 1
-    if not fam.valid:
-        bad.append({"m": 3, "p": p, "violations": list(fam.violations)})
+    checks.append((1, [] if fam.valid else [{"m": 3, "p": p, "violations": list(fam.violations)}]))
+    _, count, bad = _tally(checks)
     info = {
         "m3_prime": p,
         "m3_complement_size": A.size,
@@ -526,36 +462,29 @@ def suite_construction(cfg: RunConfig) -> dict:
         "m3_xi2": xi_exact(A, 2),
         "m3_xi3": xi_exact(A, 3),
     }
-    return _suite("construction", count, bad, densities=densities, **info)
+    return _suite("construction", count, bad, densities={s.m: s.density for s in specs}, **info)
 
 
 # ---------------------------------------------------------------------------
 # 10. minimal equal-impact cardinality
 
 
+def _mu_check(full, bounded) -> tuple[int, list]:
+    """The two strategies agree, and mu(p) meets both lower bounds."""
+    bad = [
+        {"p": full.p, "field": key, "full": getattr(full, key), "bounded": getattr(bounded, key)}
+        for key in ("mu", "witness_count", "witnesses_up_to_affine")
+        if getattr(full, key) != getattr(bounded, key)
+    ]
+    if not full.bounds_hold:
+        bad.append({"p": full.p, "mu": full.mu, "sqrt_bound": full.sqrt_bound, "log4_bound": full.log4_bound})
+    return 1, bad
+
+
 def suite_mu(cfg: RunConfig) -> dict:
-    scale = _SCALE[cfg.profile]
-    bad = []
-    table = []
-    count = 0
-    for p in scale["mu_ps"]:
-        full = compute_mu(p, "full")
-        bounded = compute_mu(p, "bounded")
-        count += 1
-        for key in ("mu", "witness_count", "witnesses_up_to_affine"):
-            got = {"full": getattr(full, key), "bounded": getattr(bounded, key)}
-            if got["full"] != got["bounded"]:
-                bad.append({"p": p, "field": key, **got})
-        if not full.bounds_hold:
-            bad.append(
-                {
-                    "p": p,
-                    "mu": full.mu,
-                    "sqrt_bound": full.sqrt_bound,
-                    "log4_bound": full.log4_bound,
-                }
-            )
-        table.append({"p": p, "mu": full.mu, "ratio": full.mu / p})
+    runs = [(compute_mu(p, "full"), compute_mu(p, "bounded")) for p in _SCALE[cfg.profile]["mu_ps"]]
+    _, count, bad = _tally(_mu_check(full, bounded) for full, bounded in runs)
+    table = [{"p": full.p, "mu": full.mu, "ratio": full.mu / full.p} for full, _ in runs]
     return _suite("mu", count, bad, table=table)
 
 
@@ -587,10 +516,9 @@ def run_suites(cfg: RunConfig, names: Optional[list[str]] = None) -> dict:
         start = time.monotonic()
         report = fn(cfg)
         reports.append(report)
-        counts = "".join(
-            f" {key}={report[key]}" for key in ("instances", "covered_instances") if key in report
-        )
-        print(f"[{name}] {time.monotonic() - start:.1f}s{counts}", file=sys.stderr)
+        line = {"suite": name, "seconds": round(time.monotonic() - start, 3)}
+        line.update((key, report[key]) for key in ("instances", "covered_instances") if key in report)
+        print(json.dumps(line), file=sys.stderr)
     return {
         "profile": cfg.profile,
         "seed": cfg.seed,

@@ -18,10 +18,8 @@ REACHING = ("src", "demos", "perfbench")
 # public names that only tests reach yet, each with the roadmap item that
 # moves its claim into a suite or removes it
 AWAITING_A_SUITE = {
-    "normalize_difference": "joins the identities suite after item 0",
-    "coset_density_ok": "joins boundary_values after item 0",
-    "find_stable_multi_decomposition_instance": "joins boundary_values after item 0",
-    "verify_impact_extension": "replaced by item 1's class-based extension check",
+    "normalize_difference": "gets a caller in item 7's chain-structure sweep",
+    "verify_impact_extension": "goes in item 1, replaced by its class-based extension check",
 }
 
 

@@ -15,11 +15,8 @@ from zqadd.progressions import (
     alpha_profile,
     check_uniqueness,
     contained_in_coset,
-    coset_density_ok,
     decompose,
-    find_stable_multi_decomposition_instance,
     min_alpha,
-    multi_decomposition_family,
     optimal_differences,
     stability,
 )
@@ -283,30 +280,6 @@ class TestStability:
             stability(S(30, list(range(10)) + [15, 20, 25]))
 
 
-class TestMultiDecompositionFamily:
-    def test_family_shape(self):
-        A = multi_decomposition_family(2, 16)
-        assert sorted(A.elements) == [0, 1, 2, 3, 9, 10, 11, 12]
-
-    def test_k3_instance_is_stable(self):
-        # k = 2 has no stable instance (the difference q/2 is fragile);
-        # k = 3 at q = 36 is stable
-        q, A = find_stable_multi_decomposition_instance(3, 36)
-        assert q == 36
-        assert min_alpha(A) == 3
-        opt = optimal_differences(A)
-        assert 13 in opt  # q/k + 1: the genuinely different decomposition
-        assert stability(A).status == "stable"
-
-    def test_high_coset_density(self):
-        q, A = 36, multi_decomposition_family(3, 36)
-        assert not coset_density_ok(A)
-
-    def test_requires_divisibility(self):
-        with pytest.raises(ValueError):
-            multi_decomposition_family(3, 16)
-
-
 class TestCosetContainment:
     def test_full_coset_detected(self):
         A = S(12, [1, 4, 7, 10])
@@ -322,8 +295,6 @@ class TestCosetContainment:
             for mask in range(1 << q):
                 A = ResidueSet(q, mask)
                 meets = [[len(set(A) & {(t + h) % q for h in H}) for t in range(q)] for H in subgroups]
-                dense = any(2 * c >= len(H) for H, cs in zip(subgroups, meets) for c in cs)
-                assert coset_density_ok(A) == (not dense)
                 inside = [len(H) for H, cs in zip(subgroups, meets) if A.size in cs]
                 got = contained_in_coset(A)
                 assert (got.order if got else None) == next(iter(inside), None)

@@ -2,11 +2,15 @@
 counts, coverage, both Sidon orientations, a planted fault, and the
 translation invariance the reduction rests on; the strategy cross-check
 of the mu suite; a Pluennecke sample past the exact cap stops the suite;
-run_suites names only unknown suites; ordered_map sizes its pool by the
-tasks."""
+a failing check reports the same counterexamples at any worker count;
+each suite's stderr line is JSON; run_suites names only unknown suites;
+ordered_map sizes its pool by the tasks."""
 
 import dataclasses
+import hashlib
+import json
 import math
+import multiprocessing
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +18,7 @@ from hypothesis import strategies as st
 
 from zqadd import impact, parallel, verify
 from zqadd.chains import compute_mu
+from zqadd.cli import main
 from zqadd.config import RunConfig
 from zqadd.core import (
     BudgetExceededError,
@@ -24,7 +29,7 @@ from zqadd.core import (
     shift_table,
     translation_classes,
 )
-from zqadd.impact import sidon_check, sidon_sumset_bound_check
+from zqadd.impact import sidon_check, sidon_sumset_bound_check, xi_search
 
 
 def euler_phi(n):
@@ -42,11 +47,9 @@ def is_sidon(mask, q):
 
 
 def full_sweep(q):
-    """The reduced sweep over every pair of translation classes of Z_q."""
-    (count, covered), bad = verify._sweep(
-        verify._ineq_chunk, [(q, 0, len(translation_classes(q)))], 4, 1
-    )
-    return count, covered, bad
+    """The reduced sweep over every pair of translation classes of Z_q:
+    (pairs checked, mask pairs covered, violations)."""
+    return verify._sweep(verify._class_pair_checks, [(q, 0, len(translation_classes(q)))], 4, 1)
 
 
 @pytest.mark.parametrize("q", range(1, 13))
@@ -195,6 +198,46 @@ def test_pluennecke_past_the_cap_stops_the_suite(monkeypatch):
     monkeypatch.setattr(impact, "PLUENNECKE_EXACT_CAP", 12)
     with pytest.raises(BudgetExceededError):
         verify.suite_sumset_inequalities(RunConfig(seed=1, profile="smoke"))
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="the patched engine reaches the workers only by fork"
+)
+def test_sweep_reports_the_same_failures_at_any_worker_count(monkeypatch):
+    q = 5
+
+    def skewed(A, n, *args, **kwargs):
+        rec = xi_search(A, n, *args, **kwargs)
+        return dataclasses.replace(rec, value=rec.value + 1) if A.q == q else rec
+
+    monkeypatch.setattr(verify, "xi_search", skewed)
+    one, two = (verify.suite_oracle_equivalence(RunConfig(seed=1, workers=w, profile="smoke")) for w in (1, 2))
+    assert one == two
+    assert not one["passed"] and one["instances"] == 2251  # as when every check passes
+    bad = one["counterexamples"]
+    # one failure per (mask, n) checked at q, in sweep order
+    assert [(c["set"], c["n"]) for c in bad] == [
+        (sorted(A.elements), n)
+        for A in (ResidueSet(q, mask) for mask in range(1, (1 << q) - 1))
+        for n in range(q - A.size + 1)
+    ]
+    for c in bad:
+        assert c["q"] == q and c["search"] == c["naive"] + 1
+        assert c["command"] == f"zqadd xi --q {q} --set {','.join(map(str, c['set']))} --n {c['n']}"
+
+
+def test_each_suite_times_itself_on_one_stderr_json_line(capsys):
+    assert main(["verify", "mu", "construction", "--profile", "smoke", "--seed", "42"]) == 0
+    captured = capsys.readouterr()
+    lines = [json.loads(line) for line in captured.err.splitlines()]
+    assert [line["suite"] for line in lines] == ["construction", "mu"]  # SUITES order
+    report = json.loads(captured.out)
+    for line, suite in zip(lines, report["suites"]):
+        assert list(line) == ["suite", "seconds", "instances"]
+        assert line["instances"] == suite["instances"] and line["seconds"] >= 0
+    # the report bytes these two suites had before the stderr line was JSON
+    digest = hashlib.sha256(captured.out.encode()).hexdigest()
+    assert digest == "2aaa6dbe4791699cec0ba54d63601a7d3cf409a79979d204ef0c7bacf4bf2df4"
 
 
 def test_unknown_suites_are_named_alone():
