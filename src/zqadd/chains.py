@@ -269,8 +269,8 @@ class MuRecord:
     mu: int
     witness_count: int  # minimal witnesses that contain 0
     witnesses_up_to_affine: tuple[tuple[int, ...], ...]
-    sqrt_bound: float  # sqrt(8p+25) - 5, applicable when mu < 2p/3
-    log4_bound: float
+    sqrt_bound: int  # least mu with mu >= sqrt(8p+25) - 5, applicable when mu < 2p/3
+    log4_bound: int  # least mu with mu > log_4 p
     bounds_hold: bool
     strategy: str
     nodes: int  # search nodes: gaps and runs placed ('bounded'), subsets tested ('full')
@@ -473,10 +473,9 @@ def compute_mu(p: int, strategy: str = "bounded") -> MuRecord:
         raise ValueError(f"unknown strategy {strategy!r}")
 
     canon = sorted(classes)
-    sqrt_bound = math.sqrt(8 * p + 25) - 5
-    log4_bound = math.log(p, 4)
-    # mu > log_4 p, and mu >= 2p/3 or mu >= sqrt(8p + 25) - 5, in integers
-    holds = 4**mu > p and (3 * mu >= 2 * p or (mu + 5) ** 2 >= 8 * p + 25)
+    sqrt_bound = math.isqrt(8 * p + 24) + 1 - 5  # ceil(sqrt(8p + 25)) - 5
+    log4_bound = (p.bit_length() + 1) // 2  # 4^j > p exactly when 2j >= p.bit_length()
+    holds = mu >= log4_bound and (3 * mu >= 2 * p or mu >= sqrt_bound)
     return MuRecord(
         p,
         mu,

@@ -35,12 +35,13 @@ EXIT_BUDGET = 3
 
 def _parse_set_arg(raw: str, q: Optional[int]) -> ResidueSet:
     """Accept `q=N;{a,b,c}` literals, JSON objects, or a bare comma list
-    combined with --q."""
+    combined with --q.  A --q beside a literal or JSON must be its modulus."""
     raw = raw.strip()
-    if raw.startswith("{"):
-        return set_from_json(json.loads(raw))
-    if raw.startswith("q="):
-        return parse_set(raw)
+    if raw.startswith(("{", "q=")):
+        A = set_from_json(json.loads(raw)) if raw.startswith("{") else parse_set(raw)
+        if q is not None and q != A.q:
+            raise ValueError(f"--q {q} disagrees with the set's modulus {A.q}")
+        return A
     if q is None:
         raise ValueError(
             "a bare element list needs --q; alternatively pass 'q=N;{a,b,c}' "

@@ -25,7 +25,7 @@ from .core import (
     shift_table,
     smallest_prime_factor,
 )
-from .impact import m_threshold, xi_exact, xi_naive
+from .impact import m_threshold, range_bounds, xi_exact, xi_naive
 from .progressions import min_alpha
 
 DIGITAL_SET_BUDGET = 5_000_000  # most digital sets one enumeration may yield
@@ -176,8 +176,8 @@ def _digital_walk(
     overwrites, with lifts[r] the element congruent to r.  Once lifts[0..r]
     are placed, the child's state is step(state, lifts, r), and a step
     that returns None cuts the subtree below."""
-    if m < 1 or q % m != 0:
-        raise ValueError("digital sets need m | q")
+    if m < 1 or q < 1 or q % m != 0:
+        raise ValueError("digital sets need m, q >= 1 and m | q")
     if (q // m) ** m > DIGITAL_SET_BUDGET:
         raise BudgetExceededError(f"{q // m}^{m} digital sets exceed budget {DIGITAL_SET_BUDGET}")
     lifts = [0] * m
@@ -212,8 +212,8 @@ def enumerate_digital_sets(m: int, q: int) -> Iterator[DigitalSetWitness]:
 
 
 def sample_digital_set(m: int, q: int, rng: random.Random) -> ResidueSet:
-    if m < 1 or q % m != 0:
-        raise ValueError("digital sets need m | q")
+    if m < 1 or q < 1 or q % m != 0:
+        raise ValueError("digital sets need m, q >= 1 and m | q")
     reps = q // m
     return ResidueSet.from_elements(
         q, (r + rng.randrange(reps) * m for r in range(m))
@@ -479,11 +479,9 @@ def verify_impact_extension(
     spot-check window inside [2, q-m-k-1]."""
     if not prime_condition(m, q):
         raise ValueError(f"(m={m}, q={q}) fails the prime condition")
-    if m <= m_threshold(k):
-        raise ValueError(
-            f"m={m} not above threshold m_0({k}) = {m_threshold(k)}"
-        )
-    end = (3 + math.isqrt(16 * k + 1)) // 2  # floor((3 + sqrt(16k+1)) / 2), exactly
+    if m <= (m0 := m_threshold(k)):
+        raise ValueError(f"m={m} not above threshold m_0({k}) = {m0}")
+    end = range_bounds(m, k).hypothesis_range_end
     rng = random.Random(seed)
     hyp_holds = vacuous = checked = 0
     counterexamples = []

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, count, islice
 from typing import Optional
 
 from .core import (
@@ -21,7 +21,6 @@ from .core import (
 # search budgets, read at call time so that tests can lower them
 DEFAULT_NODE_BUDGET = 50_000_000  # xi_search nodes, xi_naive combinations
 PLUENNECKE_EXACT_CAP = 16  # largest |A| of the exact Plünnecke search
-THRESHOLD_M_CAP = 100_000  # the m scanned for the range-bound thresholds
 
 
 @dataclass(frozen=True)
@@ -276,68 +275,79 @@ def pluennecke_subset(A: ResidueSet, B: ResidueSet) -> PluenneckeReport:
 
 @dataclass(frozen=True)
 class RangeBounds:
-    bound1: float
-    bound2: float
-    hypothesis_range_end: float
+    bound1: int
+    bound2: int
+    hypothesis_range_end: int
 
 
 def range_bounds(m: int, k: int) -> RangeBounds:
-    """Roots of the two quadratics bounding the minimizing n, and the
-    asymptotic endpoint (3 + sqrt(16k+1))/2 that bound2 approaches."""
+    """Floors of the roots of the two quadratics bounding the minimizing n,
+    and of the asymptotic endpoint (3 + sqrt(16k+1))/2 that bound2
+    approaches.  Each bounds an integer n, so the floors lose nothing."""
     if m <= 2:
         raise ValueError("range_bounds needs m >= 3 (a = m-2 degenerates)")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    b1 = _quadratic_root(m - 1, 2 * m + k - 2, (m - 1) * (m + k - 1))
-    b2 = _quadratic_root(m - 2, 3 * m + 4 * k - 4, 2 * m + 2 * (k - 1) * (2 * m + k - 1))
-    end = (3 + math.sqrt(16 * k + 1)) / 2
-    return RangeBounds(b1, b2, end)
+    b1 = _floor_root(m - 1, 2 * m + k - 2, (m - 1) * (m + k - 1))
+    b2 = _floor_root(m - 2, 3 * m + 4 * k - 4, 2 * m + 2 * (k - 1) * (2 * m + k - 1))
+    return RangeBounds(b1, b2, (3 + math.isqrt(16 * k + 1)) // 2)
 
 
-def _quadratic_root(a: int, b: int, c: int) -> float:
-    return (b + math.sqrt(b * b + 4 * a * c)) / (2 * a)
-
-
-_EPS = 1e-9
+def _floor_root(a: int, b: int, c: int) -> int:
+    """floor of the larger root (b + sqrt(D))/2a of a x^2 - b x - c, with
+    D = b^2 + 4ac, exactly: for integers b and 2a > 0, (b + y)/2a >= t
+    exactly when b + floor(y) >= 2at."""
+    return (b + math.isqrt(b * b + 4 * a * c)) // (2 * a)
 
 
 def bound2_threshold(k: int) -> int:
-    """Smallest m for which bound2 has dropped to within one unit of the
-    asymptotic endpoint (so the integer n it bounds cannot exceed the
-    hypothesis range any more)."""
-    end = (3 + math.sqrt(16 * k + 1)) / 2
-    for m in range(3, THRESHOLD_M_CAP):
-        if range_bounds(m, k).bound2 <= end + 1 + _EPS:
-            return m
-    raise RuntimeError("bound2 threshold not found below cap")
+    """Smallest m >= 3 with bound2 <= end + 1, end = (3 + sqrt(16k+1))/2 as
+    a real number (so the integer n it bounds cannot exceed the hypothesis
+    range by more than one), decided in integers.
 
+    With s = 16k+1, a = 2k+3 and X = end + 1 = (5 + sqrt(s))/2, twice
+    bound2's quadratic at X is u + v sqrt(s), u = 2m - a^2 - s and
+    v = 2m - 2a.  X lies past the smaller root (1 at k = 0, negative for
+    k >= 1), so bound2 <= X exactly when u + v sqrt(s) >= 0, which squaring
+    decides once the signs of u and v are known.  u and v both grow with m,
+    so every m past the first that passes passes too, and the scan ends:
+    both are positive once 2m > a^2 + s."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    s, a = 16 * k + 1, 2 * k + 3
 
-_SQRT2 = math.sqrt(2)
+    def passes(m: int) -> bool:
+        u, v = 2 * m - a * a - s, 2 * m - 2 * a
+        return (u >= 0 and u * u >= v * v * s) if v < 0 else (u >= 0 or v * v * s >= u * u)
+
+    return next(m for m in count(3) if passes(m))
 
 
 def beta_threshold(k: int) -> int:
     """Smallest m from which bound1 forces beta = (m+n+r)/m below sqrt(2)
-    for every m' >= m (n integer, r <= k-1).
+    for every m' >= m (n integer, r <= k-1): one past the last m >= 3 with
+    (m + floor(bound1) + k - 1)^2 >= 2 m^2.  Isolated small m can pass
+    while a larger one fails, so the scan runs to a proven horizon.
 
-    The condition is not monotone for tiny m: isolated small m can pass
-    while a larger one fails, so the threshold is one past the last
-    failure within the scan horizon (bound1 grows like sqrt(m), so the
-    condition holds for all m beyond it)."""
-    horizon = 4 * (k + 2) ** 2 + 100
-    if horizon >= THRESHOLD_M_CAP:
-        raise ValueError("scan horizon exceeds cap")
-    last_failure = None
-    for m in range(3, horizon):
-        n_max = math.floor(range_bounds(m, k).bound1 + _EPS)
-        if not (m + n_max + k - 1) < _SQRT2 * m:
-            last_failure = m
-    if last_failure is None:
-        return 3
-    if last_failure >= horizon - 10:
-        raise RuntimeError("beta condition still failing near the horizon")
-    return last_failure + 1
+    No m >= 8(k+2) + 64 fails.  The larger root of a x^2 - b x - c is at
+    most b/a + sqrt(c/a), so for m >= k+1, bound1 <= 2 + k/(m-1) +
+    sqrt(m+k-1) <= 3 + sqrt(m+k-1) < 3 + sqrt(2m), and
+    m + floor(bound1) + k - 1 < m + (k+2) + sqrt(2m).  Once m >= 8(k+2) + 64,
+    k+2 <= (sqrt(2) - 1) m/2 and, as m >= 47, sqrt(2m) <= (sqrt(2) - 1) m/2,
+    so the left side is below sqrt(2) m."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    fails = [m for m in range(3, 8 * (k + 2) + 64) if (m + range_bounds(m, k).bound1 + k - 1) ** 2 >= 2 * m * m]
+    return fails[-1] + 1 if fails else 3
 
 
 def m_threshold(k: int) -> int:
-    """m_0(k): the smaller m for which both quadratic arguments apply."""
+    """m_0(k): the smallest m for which both quadratic arguments apply; the
+    extension theorem is checked for m > m_0(k).
+
+    The bound2 part applies the real-number rule bound2 <= end + 1.  Open
+    finding: the least failing n is at most bound2, and this rule lets that
+    be floor(end) + 1, outside the hypothesis range [2, floor(end)].  The
+    integer reading floor(bound2) <= floor(end) would give m_0(1) = 17, not
+    10.  The finding is reported here, not applied."""
     return max(beta_threshold(k), bound2_threshold(k))

@@ -164,10 +164,9 @@ def check_uniqueness(A: ResidueSet) -> UniquenessVerdict:
     q = A.q
     m = A.size
     prof = alpha_profile(A)
+    # this refuses |A| <= 2 too: alpha_t(A) = |(A+t) \ A| <= 1 for every t if |A| = 1, at t = a' - a if A = {a, a'}
     if min(prof.values()) != 2:
         raise ValueError("uniqueness check requires minimal progression count 2")
-    if m <= 2:
-        raise ValueError("uniqueness check refuses |A| <= 2 (needs 4 < |A|)")
     diff_set = tuple(t for t in sorted(prof) if prof[t] == 2)
 
     hypothesis = {

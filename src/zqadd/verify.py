@@ -245,13 +245,10 @@ def suite_boundary_values(cfg: RunConfig) -> dict:
 # 4. sumset inequalities
 
 
-def _inequality_instance(
-    A: ResidueSet, B: ResidueSet, a_sidon: Optional[bool] = None, b_sidon: Optional[bool] = None
-) -> list:
+def _inequality_instance(A: ResidueSet, B: ResidueSet, a_sidon: bool, b_sidon: bool) -> list:
     """Violations of Kneser's bound on the pair, and of the Sidon sumset
     bound with B as the Sidon set and with A as the Sidon set (once if
-    A = B).  The flags say whether A and B are Sidon; each is computed when
-    left out."""
+    A = B).  The flags say whether A and B are Sidon."""
     out = []
     kn = kneser_check(A, B)
     if not kn.holds:
@@ -259,10 +256,6 @@ def _inequality_instance(
             {"inequality": "kneser", "q": A.q, "A": sorted(A.elements), "B": sorted(B.elements),
              "lhs": kn.lhs, "rhs": kn.rhs}
         )
-    if a_sidon is None:
-        a_sidon = sidon_check(A)
-    if b_sidon is None:
-        b_sidon = sidon_check(B)
     for X, Y, y_sidon in ((A, B, b_sidon), (B, A, a_sidon and A != B)):
         if y_sidon:
             sb = sidon_sumset_bound_check(X, Y)

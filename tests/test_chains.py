@@ -307,7 +307,7 @@ class TestMu:
 
     def test_mu7_sqrt_bound_tight(self):
         rec = compute_mu(7)
-        assert rec.sqrt_bound == 4.0 and rec.mu == 4
+        assert rec.sqrt_bound == 4 and rec.log4_bound == 2 and rec.mu == 4
 
     def test_witnesses_are_canonical(self):
         rec = compute_mu(5)

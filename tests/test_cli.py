@@ -86,6 +86,18 @@ class TestErrors:
         code, _, err = run(capsys, "xi", "--set", "q=;{1}", "--n", "1")
         assert code == EXIT_ERROR and "error" in err
 
+    @pytest.mark.parametrize("form", ["q=7;{0,1}", '{"q": 7, "elements": [0, 1]}'])
+    def test_q_must_match_the_set(self, capsys, form):
+        code, out, err = run(capsys, "xi", "--q", "9", "--set", form, "--n", "2")
+        assert code == EXIT_ERROR and out == "" and "--q 9" in err
+        code, out, _ = run(capsys, "xi", "--q", "7", "--set", form, "--n", "2")
+        assert code == EXIT_OK and json.loads(out)["q"] == 7
+
+    @pytest.mark.parametrize("q", ["0", "-6"])
+    def test_digital_enumerate_rejects_nonpositive_q(self, capsys, q):
+        code, out, err = run(capsys, "digital", "enumerate", "--q", q, "--m", "3")
+        assert code == EXIT_ERROR and out == "" and "error" in err
+
     def test_element_out_of_range(self, capsys):
         code, _, err = run(capsys, "alpha", "--q", "5", "--set", "0,9")
         assert code == EXIT_ERROR

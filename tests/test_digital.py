@@ -105,6 +105,14 @@ class TestEnumeration:
         assert len(sets) == 16
         assert len({w.set.mask for w in sets}) == 16
 
+    @pytest.mark.parametrize("q", [0, -6])
+    def test_nonpositive_q_rejected(self, q):
+        # 3 divides 0 and -6, so only the q >= 1 check refuses them
+        with pytest.raises(ValueError):
+            next(enumerate_digital_sets(3, q))
+        with pytest.raises(ValueError):
+            sample_digital_set(3, q, random.Random(0))
+
     def test_all_digital(self):
         for w in enumerate_digital_sets(3, 9):
             assert is_digital(w.set) is not None

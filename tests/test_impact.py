@@ -2,8 +2,9 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 from hypothesis import given, settings
@@ -340,6 +341,7 @@ class TestRangeBounds:
         assert beta_threshold(1) == 10
         assert bound2_threshold(1) == 9
         assert m_threshold(0) == 5 and m_threshold(1) == 10
+        assert (bound2_threshold(157), beta_threshold(157), m_threshold(157)) == (1319, 437, 1319)
 
     def test_k0_endpoint(self):
         assert range_bounds(10, 0).hypothesis_range_end == 2.0
@@ -347,7 +349,40 @@ class TestRangeBounds:
     def test_bounds_decrease_toward_endpoint(self):
         ends = [range_bounds(m, 1).bound2 for m in (9, 20, 100, 1000)]
         assert ends == sorted(ends, reverse=True)
-        assert ends[-1] == pytest.approx((3 + 17**0.5) / 2, abs=0.05)
+        assert ends[-1] == 3 == range_bounds(1000, 1).hypothesis_range_end  # floor((3 + sqrt(17)) / 2)
+
+    @staticmethod
+    def decimal_thresholds(k):
+        """(bound2_threshold, beta_threshold) by their definitions in 60-digit
+        decimals; the beta scan runs to a horizon past the proven one."""
+        with localcontext() as ctx:
+            ctx.prec = 60
+
+            def root(a, b, c):
+                return (b + Decimal(b * b + 4 * a * c).sqrt()) / (2 * a)
+
+            end = (3 + Decimal(16 * k + 1).sqrt()) / 2
+            bound2 = next(
+                m for m in count(3) if root(m - 2, 3 * m + 4 * k - 4, 2 * m + 2 * (k - 1) * (2 * m + k - 1)) <= end + 1
+            )
+            sqrt2 = Decimal(2).sqrt()
+            fails = [
+                m
+                for m in range(3, 4 * (k + 2) ** 2 + 100)
+                if m + int(root(m - 1, 2 * m + k - 2, (m - 1) * (m + k - 1))) + k - 1 >= sqrt2 * m
+            ]
+        return bound2, fails[-1] + 1 if fails else 3
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 10, 157])
+    def test_thresholds_match_decimal_definitions(self, k):
+        bound2, beta = self.decimal_thresholds(k)
+        assert (bound2_threshold(k), beta_threshold(k)) == (bound2, beta)
+        assert m_threshold(k) == max(bound2, beta)
+
+    @pytest.mark.parametrize("threshold", [bound2_threshold, beta_threshold, m_threshold])
+    def test_negative_k_rejected(self, threshold):
+        with pytest.raises(ValueError):
+            threshold(-10)
 
     def test_small_m_rejected(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 """Static checks on the package sources."""
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 from typing import Iterator
 
@@ -89,6 +91,42 @@ def test_no_imports_in_function_bodies(path):
 @pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
 def test_no_unused_top_level_imports(path):
     assert unused_imports((SRC / path).read_text()) == []
+
+
+def float_roots_and_epsilons(source: str) -> list[str]:
+    """math.sqrt and math.log* (called, or imported from math) and float
+    literals with an exponent, such as 1e-9: the float roots and tolerances
+    that an exact bound has no use for."""
+    def flagged(name: str) -> bool:
+        return name == "sqrt" or name.startswith("log")
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "math" and flagged(node.attr):
+            found.append((node.lineno, f"math.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [(node.lineno, f"math.{alias.name}") for alias in node.names if flagged(alias.name)]
+    found += [
+        (tok.start[0], tok.string)
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+        if tok.type == tokenize.NUMBER and re.fullmatch(r"[\d_.]+[eE][+-]?[\d_]+[jJ]?", tok.string)
+    ]
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_checker_finds_float_roots_and_epsilons():
+    source = (
+        "import math\nfrom math import log2, isqrt\n\nx = math.sqrt(2) + math.log(3, 4)\n"
+        "y = isqrt(8) + 0xE5 + 1_000 + 2.5\nz = x <= y + 1e-9 or x < 2E3\n"
+    )
+    assert float_roots_and_epsilons(source) == [
+        "line 2: math.log2", "line 4: math.log", "line 4: math.sqrt", "line 6: 1e-9", "line 6: 2E3"
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_float_roots_or_epsilons(path):
+    assert float_roots_and_epsilons((SRC / path).read_text()) == []
 
 
 def unused_definitions(modules: dict[str, str], text: str) -> list[str]:

@@ -90,7 +90,7 @@ def test_sidon_bound_checked_in_both_orientations(q, monkeypatch):
 
 
 def test_unflagged_pair_checks_sidon_in_both_orientations(monkeypatch):
-    # called without Sidon flags, it tests each set as the Sidon set
+    # given each set's Sidon flag, it tests each Sidon set of the pair as the Sidon set
     seen = []
 
     def record(A, B):
@@ -101,13 +101,13 @@ def test_unflagged_pair_checks_sidon_in_both_orientations(monkeypatch):
     sidon = ResidueSet.from_elements(31, [0, 1, 3])
     other_sidon = ResidueSet.from_elements(31, [0, 2, 7])
     plain = ResidueSet.from_elements(31, range(10))
-    assert verify._inequality_instance(sidon, plain) == []
+    assert verify._inequality_instance(sidon, plain, True, sidon_check(plain)) == []
     assert seen == [(plain.elements, sidon.elements)]
     seen.clear()
-    assert verify._inequality_instance(sidon, other_sidon) == []
+    assert verify._inequality_instance(sidon, other_sidon, True, sidon_check(other_sidon)) == []
     assert seen == [(sidon.elements, other_sidon.elements), (other_sidon.elements, sidon.elements)]
     seen.clear()
-    assert verify._inequality_instance(sidon, sidon) == []
+    assert verify._inequality_instance(sidon, sidon, True, True) == []
     assert seen == [(sidon.elements, sidon.elements)]
 
 
@@ -164,11 +164,12 @@ def test_reduced_sweep_verdicts_match_the_unreduced_sweep(q, monkeypatch):
     monkeypatch.setattr(verify, "kneser_check", kneser)
     monkeypatch.setattr(verify, "sidon_sumset_bound_check", sidon_bound)
     top = 1 << q
+    sets = [ResidueSet(q, mask) for mask in range(top)]
     raw = [
         c
         for a in range(1, top)
         for b in range(a, top)
-        for c in verify._inequality_instance(ResidueSet(q, a), ResidueSet(q, b))
+        for c in verify._inequality_instance(sets[a], sets[b], sidon_check(sets[a]), sidon_check(sets[b]))
     ]
     expected = violation_classes(raw, q)
     assert expected
