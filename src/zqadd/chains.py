@@ -4,6 +4,7 @@ and the minimal-cardinality function mu(p) over prime moduli."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -115,62 +116,47 @@ def extract_chain_structure(
 
     violations: list[str] = []
     k = len(runs)
-    run_masks = []
-    for run in runs:
-        mk = 0
-        for x in run:
-            mk |= 1 << x
-        run_masks.append(mk)
+    run_masks = [sum(1 << x for x in run) for run in runs]
 
     # (iv) holds: G + {0, d1} = G ∪ {end(G) + d1}, end(G) + d1 is in A, and runs end apart
 
-    # link: predecessor(G) = (G - d2) ∩ A^c, one element shorter
+    # link G_j -> G_i when G_j = (G_i - d2) ∩ A^c is one element shorter; a run has
+    # at most one successor: two with predecessor G_j both contain G_j + d2, so are one run
     by_mask = {mk: i for i, mk in enumerate(run_masks)}
-    pred: dict[int, int] = {}
+    succ: dict[int, int] = {}
     for i, mk in enumerate(run_masks):
-        if run_masks[i].bit_count() == 1:
+        if len(runs[i]) == 1:
             continue
-        shifted = shift_mask(mk, -d2 % q, q) & comp
-        j = by_mask.get(shifted)
-        if j is None or run_masks[j].bit_count() != mk.bit_count() - 1:
+        j = by_mask.get(shift_mask(mk, -d2 % q, q) & comp)
+        if j is None or len(runs[j]) != len(runs[i]) - 1:
             violations.append(f"condition_ii: run {i} has no predecessor one shorter")
         else:
-            pred[i] = j
+            succ[j] = i
 
-    # one successor per run: two with predecessor G_j both contain G_j + d2, so are one run
-    succ = {j: i for i, j in pred.items()}
-
+    # the heads are the one-element runs, as only longer runs get a predecessor;
+    # chains from distinct heads are disjoint, as a run is the successor of at most one run
     chains: list[tuple[tuple[int, ...], ...]] = []
-    heads = [i for i, mk in enumerate(run_masks) if mk.bit_count() == 1 and i not in pred]
-    used = set()
-    for h in sorted(heads, key=lambda i: (min(runs[i]) % d1, seminorm(runs[i][0], q))):
+    heads = [i for i, run in enumerate(runs) if len(run) == 1]
+    for h in sorted(heads, key=lambda i: (runs[i][0] % d1, seminorm(runs[i][0], q))):
         chain = [h]
         while chain[-1] in succ:
             chain.append(succ[chain[-1]])
-        used.update(chain)
         chains.append(tuple(runs[i] for i in chain))
         g = runs[h][0]
         if (g - d2) % q not in A:
             violations.append(f"condition_iii: head {g} - d2 not in A")
-    if len(used) != len(runs):
+    if sum(map(len, chains)) != k:
         violations.append("chain_partition: some runs belong to no chain")
 
     kk = k_bound if k_bound is not None else xi_exact(A, 3) - A.size
-    for i, mk in enumerate(run_masks):
-        if mk.bit_count() > kk:
+    for i, run in enumerate(runs):
+        if len(run) > kk:
             violations.append(f"condition_i: run {i} longer than k = {kk}")
 
     if A.size < z * order - k * (k + 1) // 2:
         violations.append("size_bound: |A| < z|H| - k(k+1)/2")
 
-    return ChainFamily(
-        z,
-        order,
-        tuple(chains),
-        tuple(full_cosets),
-        k,
-        tuple(violations),
-    )
+    return ChainFamily(z, order, tuple(chains), tuple(full_cosets), k, tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +397,23 @@ def _layout_witnesses(p: int, k: int) -> tuple[list[int], int]:
     return found, nodes
 
 
+def _full_witnesses(p: int, k: int) -> tuple[list[int], int]:
+    """The k-subsets of Z_p, as masks, with xi(2) = xi(3) by the direct
+    test _equal_impact_pair, and the number of subsets tested, C(p, k)."""
+    masks = map(sum, itertools.combinations([1 << x for x in range(p)], k))
+    return [mk for mk in masks if _equal_impact_pair(mk, p) is not None], math.comb(p, k)
+
+
 def compute_mu(p: int, strategy: str = "bounded") -> MuRecord:
     """mu(p) = min |A| over proper subsets of Z_p with xi(2) = xi(3),
     with the minimal witnesses listed up to affine equivalence.
 
-    strategy: 'bounded' scans cardinalities k upward until the first hit,
-    laying each k-subset out run by run (_layout_witnesses) and keeping
-    those that pass the normalized witness test; 'full' tests every subset
-    of Z_p with _equal_impact_pair, as the unreduced oracle, and needs
+    Both strategies scan cardinalities k = 2, 3, ... upward (a single
+    point has xi(2) = 2 != 3 = xi(3)) and stop at the first k with a
+    witness.  'bounded' lays each k-subset out run by run
+    (_layout_witnesses) and keeps those that pass the normalized witness
+    test; 'full' tests every k-subset with _equal_impact_pair
+    (_full_witnesses), as the unreduced oracle, and needs
     2^p <= MU_FULL_BUDGET.  Both count in witness_count the minimal
     witnesses that contain 0, and in nodes the gaps and runs placed
     ('bounded') or the subsets tested ('full').
@@ -428,38 +423,23 @@ def compute_mu(p: int, strategy: str = "bounded") -> MuRecord:
     if strategy == "full":
         if (1 << p) > MU_FULL_BUDGET:
             raise BudgetExceededError(f"2^{p} subsets exceed budget")
-        mu = None
-        witnesses = []
-        nodes = 0
-        for mask in range(1, (1 << p) - 1):
-            size = mask.bit_count()
-            if mu is not None and size > mu:
-                continue
-            if size < 2:
-                continue  # a single point has xi(2) = 2 != 3 = xi(3); skip
-            nodes += 1
-            if _equal_impact_pair(mask, p) is not None:
-                if mu is None or size < mu:
-                    mu = size
-                    witnesses = [mask]
-                elif size == mu:
-                    witnesses.append(mask)
-        if mu is None:
-            raise AssertionError("no witness found; mu(p) <= p-1 always holds")
-        witness_count = sum(mask & 1 for mask in witnesses)
-        classes = _affine_classes(witnesses, p)
+        engine = _full_witnesses
     elif strategy == "bounded":
-        mu = None
-        nodes = 0
-        for size in range(2, p):
-            witnesses, searched = _layout_witnesses(p, size)
-            nodes += searched
-            if witnesses:
-                mu = size
-                break
-        if mu is None:
-            raise AssertionError("no witness found below p")
-        classes = _affine_classes(witnesses, p)
+        engine = _layout_witnesses
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    nodes = 0
+    for mu in range(2, p):
+        witnesses, searched = engine(p, mu)
+        nodes += searched
+        if witnesses:
+            break
+    else:
+        raise AssertionError("no witness found below p")
+    classes = _affine_classes(witnesses, p)
+    if strategy == "full":
+        witness_count = sum(mask & 1 for mask in witnesses)
+    else:
         # xi(2) = xi(3) is translation invariant, and with p prime and
         # 0 < mu < p each class {A+x} has p distinct members (its period
         # group is a proper subgroup of Z_p, so trivial), of which exactly
@@ -469,8 +449,6 @@ def compute_mu(p: int, strategy: str = "bounded") -> MuRecord:
         # holds N/p translation classes (N/p < p - 1 when some dilation
         # fixes a translate of A)
         witness_count = mu * sum(classes.values()) // p
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
 
     canon = sorted(classes)
     sqrt_bound = math.isqrt(8 * p + 24) + 1 - 5  # ceil(sqrt(8p + 25)) - 5

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage or input error, 2 counterexample found,
-3 budget exhausted.
+3 budget exhausted, 141 stdout closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from typing import Optional
@@ -147,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_xi(args) -> int:
-    A = _parse_set_arg(args.set, args.q)
+    A = args.set
     res = xi_search(A, args.n, node_budget=args.budget_nodes)
     out = {
         **set_to_json(A),
@@ -162,7 +163,7 @@ def _cmd_xi(args) -> int:
 
 
 def _cmd_alpha(args) -> int:
-    A = _parse_set_arg(args.set, args.q)
+    A = args.set
     if args.d1 is not None:
         rows = [{**set_to_json(A), "t": args.d1, "alpha": alpha(A, args.d1)}]
     else:
@@ -173,7 +174,7 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_decomp(args) -> int:
-    A = _parse_set_arg(args.set, args.q)
+    A = args.set
     dec = decompose(A, args.d1)
     _emit(
         {
@@ -189,7 +190,7 @@ def _cmd_decomp(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    A = _parse_set_arg(args.set, args.q)
+    A = args.set
     rep = stability(A)
     out = {
         **set_to_json(A),
@@ -205,7 +206,7 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_uniqueness(args) -> int:
-    A = _parse_set_arg(args.set, args.q)
+    A = args.set
     v = check_uniqueness(A)
     out = {
         **set_to_json(A),
@@ -223,7 +224,7 @@ def _cmd_uniqueness(args) -> int:
 def _cmd_digital(args) -> int:
     sub = args.digital_command
     if sub == "check":
-        A = _parse_set_arg(args.set, args.q)
+        A = args.set
         w = is_digital(A)
         out = {**set_to_json(A), "digital": w is not None}
         if w is not None:
@@ -239,7 +240,7 @@ def _cmd_digital(args) -> int:
         _emit_rows(rows, args.format)
         return EXIT_OK
     if sub == "carries":
-        A = _parse_set_arg(args.set, args.q)
+        A = args.set
         w = is_digital(A)
         if w is None:
             raise ValueError("carry statistics need a digital set")
@@ -303,7 +304,7 @@ def _cmd_mu(args) -> int:
 
 
 def _cmd_chains(args) -> int:
-    A = _parse_set_arg(args.set, args.q)
+    A = args.set
     fam = extract_chain_structure(A, args.d1, args.d2, k_bound=args.k)
     _emit(
         {
@@ -355,6 +356,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         # found" here; --help exits 0
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
+        if hasattr(args, "set"):
+            args.set = _parse_set_arg(args.set, args.q)
         if args.command == "verify":
             return _cmd_verify(args, args.suites)
         if args.command == "verify-all":
@@ -366,6 +369,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head` does): send what is still
+        # buffered to devnull, so the final flush raises nothing, and exit as
+        # a process killed by SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -268,24 +268,18 @@ def verify_carry_extremality(m: int) -> CarryExtremalityReport:
     minimize the number of nonzero-carry pairs; minimizers are compared
     against the affine orbits of the two canonical sets."""
     q = m * m
-    best_distinct = None
-    best_nonzero = None
-    distinct_minimizers: list[int] = []
-    nonzero_minimizers: list[int] = []
+    # per statistic (distinct carries, nonzero pairs): least value, minimizers
+    best = [math.inf, math.inf]
+    minimizers: list[list[int]] = [[], []]
     count = 0
     for mask, _, (bits, nz) in _carry_walk(m):
         count += 1
-        dc = bits.bit_count()
-        if best_distinct is None or dc < best_distinct:
-            best_distinct = dc
-            distinct_minimizers = [mask]
-        elif dc == best_distinct:
-            distinct_minimizers.append(mask)
-        if best_nonzero is None or nz < best_nonzero:
-            best_nonzero = nz
-            nonzero_minimizers = [mask]
-        elif nz == best_nonzero:
-            nonzero_minimizers.append(mask)
+        for i, value in enumerate((bits.bit_count(), nz)):
+            if value < best[i]:
+                best[i], minimizers[i] = value, []
+            if value == best[i]:
+                minimizers[i].append(mask)
+    (best_distinct, best_nonzero), (distinct_minimizers, nonzero_minimizers) = best, minimizers
 
     interval_orbit = affine_images(canonical_interval_digits(m).mask, q)
     centered_orbit = affine_images(centered_digits(m).mask, q)

@@ -441,7 +441,7 @@ def suite_construction(cfg: RunConfig) -> dict:
     if spec.m >= 8 and 50 * abs(18 * spec.size - 13 * spec.ground) > 18 * spec.ground:
         checks[-1][1].append({"m": spec.m, "density": spec.density, "target": 13 / 18})
 
-    spec3 = build_construction(3)
+    spec3 = next(s for s in specs if s.m == 3)  # every profile lists m = 3
     p, A = project_to_prime(spec3)
     fam = construction_chain_family(spec3, p, A)
     checks.append((1, [] if fam.valid else [{"m": 3, "p": p, "violations": list(fam.violations)}]))

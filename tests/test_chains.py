@@ -1,6 +1,7 @@
 """Chain structure of equal-impact sets, the interval construction, mu(p)."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +109,33 @@ class TestChainExtraction:
         # 3,5,7 in coset 1; coset order makes 4,6 run 0, and 4,6 - 1 is no run
         fam = extract_chain_structure(S(8, [0, 1, 2]), 2, 1, k_bound=8)
         assert fam.violations[0] == "condition_ii: run 0 has no predecessor one shorter"
+
+    @pytest.mark.parametrize(
+        "q, elems, d1, d2, k_bound, expect",
+        [
+            (
+                3, [0], 1, 1, 3,
+                (
+                    "condition_ii: run 0 has no predecessor one shorter",
+                    "chain_partition: some runs belong to no chain",
+                    "size_bound: |A| < z|H| - k(k+1)/2",
+                ),
+            ),
+            (4, [0, 1], 2, 1, 4, ("condition_iii: head 3 - d2 not in A",)),
+            (
+                None, None, 1, 8, 1,
+                tuple(f"condition_i: run {i} longer than k = 1" for i in (3, 4, 5, 6, 7, 9, 10, 11)),
+            ),
+        ],
+        ids=["ii_partition_size", "iii", "i_construction_m3"],
+    )
+    def test_every_violation_kind(self, q, elems, d1, d2, k_bound, expect):
+        # None: the m = 3 construction on Z_67, whose runs have sizes 1 .. 8
+        if q is None:
+            q, A = project_to_prime(build_construction(3))
+        else:
+            A = S(q, elems)
+        assert extract_chain_structure(A, d1, d2, k_bound=k_bound).violations == expect
 
     def test_full_group_has_no_runs(self):
         fam = extract_chain_structure(S(8, range(8)), 2, 1, k_bound=8)
@@ -290,6 +318,8 @@ class TestMu:
             if mask & 1 and mask.bit_count() == rec.mu and chains._equal_impact_pair(mask, 13) is not None
         )
         assert rec.witness_count == zero_in == 28
+        # the scan tests every k-subset for k = 2 .. mu and stops there
+        assert rec.nodes == sum(math.comb(13, k) for k in range(2, rec.mu + 1)) == 5_798
 
     def test_p23(self):
         rec = compute_mu(23)

@@ -4,6 +4,8 @@ import argparse
 import ast
 import itertools
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -222,6 +224,16 @@ class TestSubcommands:
     def test_digital_enumerate(self, capsys):
         code, out, _ = run(capsys, "digital", "enumerate", "--q", "4", "--m", "2")
         assert code == EXIT_OK and len(out.strip().splitlines()) == 4
+
+    def test_closed_stdout_exits_141_quietly(self):
+        # as `zqadd digital enumerate --q 36 --m 6 | head -1`: the 46,656 rows
+        # overflow the pipe buffer, so a write fails once the reader is gone
+        argv = [sys.executable, "-m", "zqadd.cli", "digital", "enumerate", "--q", "36", "--m", "6"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert json.loads(proc.stdout.readline())["m"] == 6
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            assert "Traceback" not in proc.stderr.read().decode()
 
     def test_carries(self, capsys):
         code, out, _ = run(capsys, "digital", "carries", "--q", "9", "--set", "0,1,2")
